@@ -219,7 +219,7 @@ def _crit_ko() -> tuple[bool, str]:
         return False, "; ".join(bad)
     v = divis.euler_verdict("SO", 2, 2)
     if not v.ok:
-        return False, f"SO verdict rejected euler=2 at k=2: {v.reason}"
+        return False, f"SO verdict rejected euler=2 at k=2: {v.note}"
     v2 = divis.euler_verdict("SO", 2, 3)
     if v2.ok:
         return False, "SO verdict accepted euler=3 at k=2"

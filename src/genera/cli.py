@@ -293,6 +293,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
+    saved_data_dir = os.environ.get("GENERA_DATA_DIR")
     if args.data_dir:
         os.environ["GENERA_DATA_DIR"] = args.data_dir
     try:
@@ -310,6 +311,13 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        # the flag applies to this command only, not to later calls in the process
+        if args.data_dir:
+            if saved_data_dir is None:
+                os.environ.pop("GENERA_DATA_DIR", None)
+            else:
+                os.environ["GENERA_DATA_DIR"] = saved_data_dir
 
 
 if __name__ == "__main__":

@@ -7,19 +7,21 @@ one universal factor per Chern root x_j:
            * prod_{m>=1} (1-q^m y e^x)(1-q^m y^{-1} e^{-x})
                        / ((1-q^m e^x)(1-q^m e^{-x}))
 
-F(0) equals the weight -2 Jacobi generator a, which is not a unit of the
-Laurent ring (its q^0 layer has two monomials), so log(F/F(0)) does not
-exist there. The power-sum pipeline below therefore runs in the localization
-at D = F(0)^[all variables]: every intermediate coefficient is a pair
-(numerator series, power of D), no division ever happens, and the final
-multiplication by D^k always clears the denominator because the accumulated
-power never exceeds the partition weight.
+F(0) equals the weight -2 Jacobi generator a. With F(x) = sum_d F_d x^d, the
+degree-k part of prod_{j=1}^k F(x_j) has, on the monomial symmetric function
+m_lam of a partition lam of k with l(lam) parts, the coefficient
 
-Pipeline: log(prod_j F(x_j)/D) = sum_d g_d p_d over power sums p_d of the
-Chern roots; exponentiate via the closed per-partition formula
-coeff of p_lambda = prod_d g_d^{m_d} / m_d!; convert p_lambda to elementary
-symmetric polynomials by Newton's identities with e_j = 0 for j > k (there
-are exactly k Chern roots); pair e-monomials with the Chern numbers.
+    F_0^{k - l(lam)} * prod_i F_{lam_i},
+
+since each monomial of m_lam takes F_{lam_i} from l(lam) roots and F_0 from
+the others. The genus pairs these series with the integers int_M m_lam. The
+Chern numbers are c_mu = int_M e_mu, and e_mu = sum_lam N(mu, lam) m_lam,
+where N(mu, lam) counts 0-1 matrices with row sums mu and column sums lam
+(Macdonald, Symmetric Functions and Hall Polynomials, ch. I, sec. 6). For the
+conjugate partition lam', N(lam', lam) = 1 and N(lam', nu) != 0 only for
+nu <= lam in dominance, hence lexicographic, order. Solving for int_M m_lam
+in increasing lexicographic order of lam is thus triangular over the
+integers and needs no division.
 
 With n elliptic variables the same factor appears once per variable and the
 result has index2 = dimc in every variable (for n = 1 this is the usual
@@ -31,7 +33,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import combinations
+from operator import mul
 
 from genera.jacobi import JacobiForm, generator_a
 from genera.series import LaurentSeries
@@ -64,6 +68,13 @@ def partitions(n: int, max_part: int | None = None):
     for first in range(min(n, max_part), 0, -1):
         for rest in partitions(n - first, first):
             yield (first,) + rest
+
+
+def _json_int(what: str, value) -> int:
+    # bool is a subclass of int, and int() would silently truncate floats
+    if type(value) is not int:
+        raise ChernDataError(f"{what} must be a JSON integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -102,11 +113,11 @@ class ChernData:
 
     @classmethod
     def from_obj(cls, obj) -> "ChernData":
-        numbers = {parse_partition_key(k): int(v)
+        numbers = {parse_partition_key(k): _json_int(f"number for {k!r}", v)
                    for k, v in obj.get("numbers", {}).items()}
         if "dimc" not in obj:
             raise ChernDataError("missing dimc")
-        return cls(str(obj.get("label", "unnamed")), int(obj["dimc"]), numbers)
+        return cls(str(obj.get("label", "unnamed")), _json_int("dimc", obj["dimc"]), numbers)
 
     @classmethod
     def load(cls, path) -> "ChernData":
@@ -231,143 +242,52 @@ def factor_polynomial(qmax: int, xdeg: int, nvars: int = 1, slot: int = 0) -> li
 
 
 # ----------------------------------------------------------------------
-# localized power-sum pipeline
-
-
-def _newton_p_in_e(dmax: int, emax: int) -> list[dict]:
-    """p_d as integer polynomials in e-partitions, with e_j = 0 for j > emax.
-
-    Returns a list where entry d maps partition tuples (the e-monomial
-    e_mu = prod e_{mu_i}) to integer coefficients. Entry 0 is unused.
-    """
-    p: list[dict] = [dict() for _ in range(dmax + 1)]
-    for d in range(1, dmax + 1):
-        acc: dict = {}
-        for i in range(1, d):
-            if i > emax:
-                continue
-            for mu, c in p[d - i].items():
-                key = tuple(sorted(mu + (i,), reverse=True))
-                acc[key] = acc.get(key, 0) + (-1) ** (i - 1) * c
-        if d <= emax:
-            key = (d,)
-            acc[key] = acc.get(key, 0) + (-1) ** (d - 1) * d
-        p[d] = {mu: c for mu, c in acc.items() if c}
-    return p
-
-
-def _emul(P: dict, Q: dict) -> dict:
-    out: dict = {}
-    for mu, c in P.items():
-        for nu, e in Q.items():
-            key = tuple(sorted(mu + nu, reverse=True))
-            out[key] = out.get(key, 0) + c * e
-    return {k: v for k, v in out.items() if v}
-
-
-@dataclass(frozen=True)
-class SymmetricExpansion:
-    """The integrand prod_j F(x_j) expanded over elementary symmetric monomials.
-
-    by_degree[d] maps partitions mu of d to the Laurent-series coefficient of
-    e_mu in the total-degree-d part. Pairing by_degree[dimc] with Chern
-    numbers gives the genus.
-    """
-    dimc: int
-    nvars: int
-    qmax: int
-    by_degree: tuple
-
-
-class _Loc:
-    """Element num * D^{-pow} of the localization at D. Minimal arithmetic."""
-    __slots__ = ("num", "pow")
-
-    def __init__(self, num: LaurentSeries, pw: int = 0):
-        self.num = num
-        self.pow = pw
-
-    def add(self, other: "_Loc", D: LaurentSeries) -> "_Loc":
-        p = max(self.pow, other.pow)
-        a = self.num * (D ** (p - self.pow)) if p > self.pow else self.num
-        b = other.num * (D ** (p - other.pow)) if p > other.pow else other.num
-        return _Loc(a + b, p)
-
-    def mul(self, other: "_Loc") -> "_Loc":
-        return _Loc(self.num * other.num, self.pow + other.pow)
-
-    def scale(self, c) -> "_Loc":
-        return _Loc(self.num * c, self.pow)
-
-    def clear(self, D: LaurentSeries, total: int) -> LaurentSeries:
-        """num * D^{total - pow}; total must dominate the denominator power."""
-        if self.pow > total:
-            raise AssertionError("denominator power exceeded the partition weight")
-        return self.num * (D ** (total - self.pow))
-
-
-def _expand_product(phi: list[LaurentSeries], dimc: int, nvars: int, qmax: int) -> SymmetricExpansion:
-    """Symmetric expansion of prod_{j=1}^{dimc} Phi(x_j) for one-root poly Phi."""
-    D = phi[0]
-    zero = LaurentSeries.zero(nvars, qmax)
-    k = dimc
-
-    # v = Phi/D - 1 in the localization; v_0 = 0
-    v = [_Loc(zero, 0)] + [_Loc(phi[d], 1) for d in range(1, k + 1)]
-
-    # g = log(1 + v): accumulate (-1)^{i+1} v^i / i degree by degree;
-    # g_d picks up denominator power at most d since v starts in degree 1
-    g = [_Loc(zero, 0) for _ in range(k + 1)]
-    cur = list(v)  # v^1
-    for i in range(1, k + 1):
-        coef = Fraction((-1) ** (i + 1), i)
-        for d in range(i, k + 1):
-            g[d] = g[d].add(cur[d].scale(coef), D)
-        if i < k:
-            nxt = [_Loc(zero, 0) for _ in range(k + 1)]
-            for d1 in range(i, k + 1):
-                for d2 in range(1, k + 1 - d1):
-                    nxt[d1 + d2] = nxt[d1 + d2].add(cur[d1].mul(v[d2]), D)
-            cur = nxt
-
-    p_in_e = _newton_p_in_e(k, k)
-
-    by_degree = []
-    for d in range(k + 1):
-        layer: dict = {}
-        for lam in partitions(d):
-            # coefficient of p_lambda in exp(sum g_d p_d)
-            mult: dict = {}
-            for part in lam:
-                mult[part] = mult.get(part, 0) + 1
-            A = _Loc(LaurentSeries.one(nvars, qmax), 0)
-            denom = 1
-            for part, m in mult.items():
-                for _ in range(m):
-                    A = A.mul(g[part])
-                for j in range(1, m + 1):
-                    denom *= j
-            A = A.scale(Fraction(1, denom))
-            # convert p_lambda to the e-basis
-            e_poly = {(): 1}
-            for part in lam:
-                e_poly = _emul(e_poly, p_in_e[part])
-            for mu, c in e_poly.items():
-                prev = layer.get(mu, _Loc(zero, 0))
-                layer[mu] = prev.add(A.scale(c), D)
-        cleared = {mu: val.clear(D, k) for mu, val in layer.items()}
-        by_degree.append({mu: s for mu, s in cleared.items() if not s.is_zero})
-    return SymmetricExpansion(k, nvars, qmax, tuple(by_degree))
+# the integrand in the monomial symmetric basis, paired with Chern numbers
 
 
 @lru_cache(maxsize=None)
-def integrand_expansion(dimc: int, nvars: int = 1, qmax: int = 10) -> SymmetricExpansion:
-    """Universal genus integrand for dimension dimc, in the Chern basis."""
-    xdeg = dimc
-    phi = factor_polynomial(qmax, xdeg, nvars=nvars, slot=0)
+def integrand_expansion(dimc: int, nvars: int = 1, qmax: int = 10) -> dict:
+    """Universal genus integrand for dimension dimc, in the monomial basis.
+
+    Maps each partition lam of dimc to the series coefficient of m_lam in
+    the degree-dimc part of prod_j Phi(x_j), where Phi is the universal
+    factor multiplied over the nvars elliptic variables.
+    """
+    phi = factor_polynomial(qmax, dimc, nvars=nvars, slot=0)
     for i in range(1, nvars):
-        phi = _pmul(phi, factor_polynomial(qmax, xdeg, nvars=nvars, slot=i), xdeg)
-    return _expand_product(phi, dimc, nvars, qmax)
+        phi = _pmul(phi, factor_polynomial(qmax, dimc, nvars=nvars, slot=i), dimc)
+    powers = [LaurentSeries.one(nvars, qmax)]
+    for _ in range(dimc - 1):
+        powers.append(powers[-1] * phi[0])
+    return {lam: reduce(mul, (phi[p] for p in lam), powers[dimc - len(lam)])
+            for lam in partitions(dimc)}
+
+
+@lru_cache(maxsize=None)
+def _zero_one_matrices(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
+    """Number of 0-1 matrices with the given row sums and column sums.
+
+    The two sums must have the same total, so no column is left over when
+    the rows run out.
+    """
+    if not rows:
+        return 1
+    total = 0
+    for ones in combinations(range(len(cols)), rows[0]):
+        if all(cols[j] for j in ones):
+            rest = sorted((c - (j in ones) for j, c in enumerate(cols)), reverse=True)
+            total += _zero_one_matrices(rows[1:], tuple(rest))
+    return total
+
+
+def _monomial_integrals(M: ChernData) -> dict:
+    """The integers int_M m_lam for every partition lam of dimc >= 1."""
+    out: dict = {}
+    for lam in sorted(partitions(M.dimc)):
+        conj = tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
+        out[lam] = M.number(conj) - sum(
+            _zero_one_matrices(conj, nu) * v for nu, v in out.items())
+    return out
 
 
 def elliptic_genus(M: ChernData, nvars: int = 1, qmax: int = 10) -> JacobiForm:
@@ -379,9 +299,9 @@ def elliptic_genus(M: ChernData, nvars: int = 1, qmax: int = 10) -> JacobiForm:
     if M.dimc == 0:
         s = LaurentSeries.const(max(nvars, 1), qmax, M.number(()))
         return JacobiForm(0, 0, s)
-    exp = integrand_expansion(M.dimc, nvars, qmax)
-    top = exp.by_degree[M.dimc]
+    integrals = _monomial_integrals(M)
+    integrand = integrand_expansion(M.dimc, nvars, qmax)
     s = LaurentSeries.zero(nvars, qmax)
-    for mu, series in sorted(top.items()):
-        s = s + series * M.number(mu)
+    for lam, n in integrals.items():
+        s = s + integrand[lam] * n
     return JacobiForm(0, M.dimc, s)

@@ -53,3 +53,13 @@ def test_run_all_stream():
         assert line.startswith(("PASS", "FAIL"))
         assert f" {crit.slug}: " in line
     assert sum(1 for l in lines if l.startswith("FAIL")) == 1
+
+
+def test_ko_criterion_reports_the_verdict_note(monkeypatch):
+    def rejecting(structure, k, euler):
+        return divis.Verdict(structure, k, 2, False, "forced rejection note")
+
+    monkeypatch.setattr(divis, "euler_verdict", rejecting)
+    ok, detail = acceptance._crit_ko()
+    assert ok is False
+    assert "forced rejection note" in detail

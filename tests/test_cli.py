@@ -110,6 +110,14 @@ def test_genus_missing_chern_key_is_reported(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_genus_non_integer_chern_data_is_a_usage_error(tmp_path, capsys):
+    f = tmp_path / "fuzzy.json"
+    f.write_text(json.dumps({"dimc": 2, "numbers": {"2": 24.7, "1,1": True}}))
+    rc, out, err = run(capsys, "genus", "euler", "--chern", str(f))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:")
+
+
 # ---------------------------------------------------------------- divis
 
 
@@ -274,12 +282,11 @@ def test_data_dir_flag(tmp_path, capsys):
     (tmp_path / "probe.json").write_text(
         json.dumps({"dimc": 2, "numbers": {"2": 36, "1,1": 0}})
     )
-    try:
-        rc, out, _ = run(capsys, "--data-dir", str(tmp_path), "genus", "euler",
-                         "--chern", "probe")
-        assert rc == 0 and out == "36\n"
-    finally:
-        os.environ.pop("GENERA_DATA_DIR", None)
+    before = os.environ.get("GENERA_DATA_DIR")
+    rc, out, _ = run(capsys, "--data-dir", str(tmp_path), "genus", "euler",
+                     "--chern", "probe")
+    assert rc == 0 and out == "36\n"
+    assert os.environ.get("GENERA_DATA_DIR") == before
 
 
 def test_data_dir_env(tmp_path, capsys, monkeypatch):

@@ -1,8 +1,11 @@
 """Characteristic-class genus pipeline against its published anchors."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genera import genus, jacobi
+from genera.series import LaurentSeries
 from genera._data import resolve_data
 
 
@@ -101,6 +104,15 @@ def test_chern_data_validation():
         genus.ChernData.from_obj({"dimc": 2, "numbers": {"3": 5}})  # overweight part
     with pytest.raises(genus.ChernDataError):
         genus.ChernData.from_obj({"dimc": -1, "numbers": {}})
+    # only JSON integers: no bools, floats or strings, in numbers or dimc
+    for bad in (24.7, True, "24", 24.0):
+        with pytest.raises(genus.ChernDataError):
+            genus.ChernData.from_obj({"dimc": 2, "numbers": {"2": bad, "1,1": 0}})
+        with pytest.raises(genus.ChernDataError):
+            genus.ChernData.from_obj({"dimc": 2, "numbers": {"2": 24, "1,1": bad}})
+    for bad in (2.0, True, "2"):
+        with pytest.raises(genus.ChernDataError):
+            genus.ChernData.from_obj({"dimc": bad, "numbers": {"2": 24, "1,1": 0}})
 
 
 def test_missing_chern_number_is_an_error():
@@ -118,3 +130,52 @@ def test_chern_data_roundtrip(k3):
     again = genus.ChernData.from_obj(k3.to_obj())
     assert again.dimc == k3.dimc
     assert again.numbers == k3.numbers
+
+
+# ---------------------------------------------------------------- properties
+# These hold for every Chern-number vector, whatever the algorithm: the genus
+# is multiplicative, restricts to the Euler number at z = 0, and (at two
+# variables) is symmetric and collapses to c_top * a^dimc at y2 = 1, where the
+# second factor reduces to x.
+
+PROPS = settings(max_examples=15, deadline=None)
+
+
+def chern_st(dimc_min=1, dimc_max=2):
+    def data(dimc):
+        numbers = {p: st.integers(-60, 60) for p in genus.partitions(dimc)}
+        return st.fixed_dictionaries(numbers).map(
+            lambda nums: genus.ChernData("random", dimc, nums))
+    return st.integers(dimc_min, dimc_max).flatmap(data)
+
+
+@PROPS
+@given(chern_st(), chern_st(), st.integers(0, 3))
+def test_genus_is_multiplicative(m, n, qmax):
+    prod = genus.elliptic_genus(genus.chern_product(m, n), nvars=1, qmax=qmax)
+    gm = genus.elliptic_genus(m, nvars=1, qmax=qmax)
+    gn = genus.elliptic_genus(n, nvars=1, qmax=qmax)
+    assert prod.index2 == m.dimc + n.dimc
+    assert prod.series == (gm * gn).series
+
+
+@PROPS
+@given(chern_st(1, 3), st.integers(0, 4))
+def test_genus_at_z0_is_the_euler_number(m, qmax):
+    ev = jacobi.ev_z0(genus.elliptic_genus(m, nvars=1, qmax=qmax))
+    assert ev.coeff(0) == genus.euler_number(m)
+    assert all(ev.coeff(n) == 0 for n in range(1, qmax + 1))
+
+
+@PROPS
+@given(chern_st(1, 3), st.integers(0, 3))
+def test_two_variable_genus_symmetry_and_y2_collapse(m, qmax):
+    g2 = genus.elliptic_genus(m, nvars=2, qmax=qmax).series
+    swapped = {(n, (r2, r1)): c for (n, (r1, r2)), c in g2.coeffs.items()}
+    assert swapped == g2.coeffs
+    at_y2_one: dict = {}
+    for (n, (r1, _r2)), c in g2.coeffs.items():
+        at_y2_one[(n, (r1,))] = at_y2_one.get((n, (r1,)), 0) + c
+    a = jacobi.generator("a", qmax).series
+    want = a ** m.dimc * genus.euler_number(m)
+    assert LaurentSeries(1, qmax, at_y2_one) == want
