@@ -35,14 +35,6 @@ for k in range(1, 13):
     want = divis.d_su_easy_closed(k)
     print(f"  k={k:2}: engine={got}  closed={want}  agree={got == want}")
 
-# a multi-cell diagram is reduced to two cells before the LES applies
-tjf5 = cells.complex_load("tjf_5")
-print()
-print(f"{tjf5.name} has cells in degrees {tjf5.degrees}")
-sub = cells.subquotient(tjf5, 3, 4)
-print(f"subquotient keeping cells 3 and 4: degrees {sub.degrees}, "
-      f"attach {sub.cells[1].attach}")
-
 # order of an element given by a sum of generators
 order = cells.element_order(cells.table_load("pi_S"), [(1, "eta"), (8, "nu")])
 print()

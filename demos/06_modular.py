@@ -17,7 +17,6 @@ for name, f in (("E4", e4), ("E6", e6), ("delta", delta)):
 
 print()
 print("1728*delta == E4^3 - E6^2:", modular.verify_ring_relation(QMAX))
-print("eta^24 == delta:", (modular.eta24(QMAX).series - delta.series).is_zero)
 
 # weight bookkeeping is enforced: mismatched weights refuse to add
 try:

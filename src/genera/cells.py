@@ -2,9 +2,9 @@
 
 A table is a finite window of finitely generated abelian groups (one per
 degree, each a sum of cyclics; order 0 encodes Z) together with a partial
-bilinear action recorded on pairs of generators.  Complexes are lists of
-cells with attaching classes named in the table.  For a two-cell complex
-S^b u_alpha S^t the long exact sequence gives
+bilinear action recorded on pairs of generators.  A complex is a bottom
+cell plus a top cell attached by a class named in the table.  For the
+complex S^b u_alpha S^t the long exact sequence gives
 
     pi_d  =  extension of  ker(.alpha: pi_{d-t} -> pi_{d-1-b})
              by            coker(.alpha: pi_{d+1-t} -> pi_{d-b})
@@ -14,9 +14,9 @@ resolved, unless one end vanishes.  Attaching-order arithmetic (order of an
 element, order of its image in a cofiber) reduces to integer Smith form
 over the same presentations.
 
-Bundled data files ship the stable stems in the range 0..7 and the
-connective tmf pattern in 0..8, plus the cell diagrams used by the
-divisibility estimates.  GENERA_DATA_DIR overrides the bundled directory.
+Bundled data files ship the stable stems in the range 0..7, the connective
+tmf pattern in 0..8 and the two-cell complexes tmf_mod_nu, tmf_mod_eta,
+tjf_2 and tejf_2.  GENERA_DATA_DIR overrides the bundled directory.
 """
 
 from __future__ import annotations
@@ -58,10 +58,6 @@ class Element:
     degree: int
     vector: tuple[int, ...]
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.vector)
-
 
 @dataclass(frozen=True, eq=False)
 class GradedTable:
@@ -94,9 +90,6 @@ class GradedTable:
             d = {g.name: g for gs in self.groups for g in gs}
             object.__setattr__(self, "_by_name_cache", d)
         return d
-
-    def zero(self, degree: int) -> Element:
-        return Element(degree, (0,) * len(self.gens(degree)))
 
     def norm(self, degree: int, vector) -> Element:
         # reduce each component mod its cyclic order; Z components pass through
@@ -197,18 +190,23 @@ def table_load(path: str) -> GradedTable:
     if lo > hi:
         raise TableError(f"empty window [{lo}, {hi}]")
 
+    if not isinstance(groups_raw, dict) or not isinstance(action_raw, list):
+        raise TableError(f"table {name}: groups must be an object and action a list")
+
     groups = []
     seen = set()
     for d in range(lo, hi + 1):
         key = str(d)
         if key not in groups_raw:
             raise TableError(f"table {name}: degree {d} missing from groups")
+        entries = groups_raw[key]
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise TableError(f"table {name}: degree {d} must list {{gen, order}} objects")
         gs = []
-        for idx, entry in enumerate(groups_raw[key]):
-            gname = entry["gen"]
-            order = int(entry["order"])
-            if order < 0:
-                raise TableError(f"negative order for {gname}")
+        for idx, entry in enumerate(entries):
+            gname, order = entry.get("gen"), entry.get("order")
+            if not isinstance(gname, str) or type(order) is not int or order < 0:
+                raise TableError(f"table {name}: bad generator {entry!r}")
             if gname in seen:
                 raise TableError(f"duplicate generator name {gname!r}")
             seen.add(gname)
@@ -221,7 +219,7 @@ def table_load(path: str) -> GradedTable:
     table = GradedTable(name, lo, hi, connective, tuple(groups), {})
 
     for entry in action_raw:
-        if len(entry) != 3:
+        if not isinstance(entry, list) or len(entry) != 3:
             raise TableError(f"bad action entry {entry!r}")
         gname, hname, res = entry
         g = table.gen(gname)
@@ -339,81 +337,53 @@ def element_order(table: GradedTable, spec):
 
 
 @dataclass(frozen=True)
-class Cell:
-    degree: int
-    attach: tuple  # components (to_index, mult, gen_name); empty = zero class
-
-
-@dataclass(frozen=True)
 class CellComplex:
-    name: str
-    cells: tuple
+    """A bottom cell plus one top cell attached by a class of the table."""
 
-    @property
-    def degrees(self) -> tuple:
-        return tuple(c.degree for c in self.cells)
+    name: str
+    bottom: int
+    top: int
+    attach: tuple  # (mult, gen_name) pairs summing to the attaching class
 
 
 def complex_load(path: str) -> CellComplex:
+    """Load {"cells": [{"deg": b}, {"deg": t, "attach": A}]}, t > b.
+
+    A is a {"gen", "mult"} object or a non-empty list of them ("to" may be 0).
+    """
     fpath = resolve_data(path)
     with open(fpath) as fh:
         raw = json.load(fh)
-    name = raw.get("name", os.path.splitext(os.path.basename(fpath))[0])
-    cells_raw = raw.get("cells")
-    if not cells_raw:
-        raise TableError(f"complex file {fpath} has no cells")
-    cells = []
-    for i, c in enumerate(cells_raw):
-        degree = int(c["deg"])
-        attach_raw = c.get("attach")
-        if i == 0:
-            if attach_raw is not None:
-                raise TableError("bottom cell cannot carry an attaching class")
-            cells.append(Cell(degree, ()))
-            continue
-        if degree <= cells[-1].degree:
-            raise TableError(f"cell degrees must increase; saw {degree} after {cells[-1].degree}")
-        if attach_raw is None:
-            raise TableError(f"cell {i} has no attaching class")
-        if isinstance(attach_raw, dict):
-            attach_raw = [attach_raw]
-        comps = []
-        for comp in attach_raw:
-            to = int(comp.get("to", 0))
-            if not 0 <= to < i:
-                raise TableError(f"cell {i} attaches to invalid cell index {to}")
-            comps.append((to, int(comp["mult"]), comp["gen"]))
-        cells.append(Cell(degree, tuple(comps)))
-    return CellComplex(name, tuple(cells))
+    cells_raw = raw.get("cells") if isinstance(raw, dict) else None
+    if not isinstance(cells_raw, list) or not all(isinstance(c, dict) for c in cells_raw):
+        raise TableError(f"complex file {fpath} needs a list of cell objects under 'cells'")
+    if len(cells_raw) != 2:
+        raise TableError(f"complex file {fpath} has {len(cells_raw)} cells; expected 2")
+    cb, ct = cells_raw
+    if cb.get("attach") is not None:
+        raise TableError("bottom cell cannot carry an attaching class")
+    comps = ct.get("attach")
+    comps = [comps] if isinstance(comps, dict) else comps
+    if not comps or not isinstance(comps, list) or not all(isinstance(c, dict) for c in comps):
+        raise TableError("top cell needs an attaching class: {gen, mult} objects")
+    try:
+        bottom, top = int(cb["deg"]), int(ct["deg"])
+        to = {int(c.get("to", 0)) for c in comps}
+        attach = tuple((int(c["mult"]), str(c["gen"])) for c in comps)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TableError(f"malformed complex file {fpath}: {exc!r}") from None
+    if to != {0}:
+        raise TableError(f"top cell attaches to cell {max(to)}; only the bottom cell 0 exists")
+    if top <= bottom:
+        raise TableError(f"top cell degree {top} must exceed bottom cell degree {bottom}")
+    return CellComplex(raw.get("name", os.path.splitext(os.path.basename(fpath))[0]),
+                       bottom, top, attach)
 
 
-def subquotient(cplx: CellComplex, bottom: int, top: int) -> CellComplex:
-    """Two-cell subquotient keeping cells `bottom` and `top` only.
-
-    Collapsing every other cell keeps exactly the attaching components of the
-    top cell that land on the bottom cell; none at all means a wedge.
-    """
-    if not 0 <= bottom < top < len(cplx.cells):
-        raise TableError(f"bad cell indices ({bottom}, {top}) for {cplx.name}")
-    cb = cplx.cells[bottom]
-    ct = cplx.cells[top]
-    comps = tuple((0, m, g) for to, m, g in ct.attach if to == bottom)
-    return CellComplex(
-        f"{cplx.name}[{bottom},{top}]", (Cell(cb.degree, ()), Cell(ct.degree, comps))
-    )
-
-
-def _attaching_class(cplx: CellComplex, table: GradedTable) -> tuple:
-    # two-cell only: returns (bottom degree, top degree, alpha as Element)
-    if len(cplx.cells) != 2:
-        raise TableError(
-            f"complex {cplx.name} has {len(cplx.cells)} cells; "
-            "reduce to two with subquotient first"
-        )
-    cb, ct = cplx.cells
-    adeg = ct.degree - 1 - cb.degree
+def _attaching_class(cplx: CellComplex, table: GradedTable) -> Element:
+    adeg = cplx.top - 1 - cplx.bottom
     vec = [0] * len(table.gens(adeg))
-    for to, m, gname in ct.attach:
+    for m, gname in cplx.attach:
         g = table.gen(gname)
         if g.degree != adeg:
             raise TableError(
@@ -421,7 +391,7 @@ def _attaching_class(cplx: CellComplex, table: GradedTable) -> tuple:
                 f"cell degrees demand {adeg}"
             )
         vec[g.index] += m
-    return cb.degree, ct.degree, table.norm(adeg, vec)
+    return table.norm(adeg, vec)
 
 
 @dataclass(frozen=True)
@@ -549,7 +519,7 @@ def cofiber_homotopy(cplx: CellComplex, table: GradedTable, degree: int) -> Cofi
     boundary) of the long exact sequence; when both are nonzero the extension
     is left unresolved and `group` is None.
     """
-    b, t, alpha = _attaching_class(cplx, table)
+    b, t, alpha = cplx.bottom, cplx.top, _attaching_class(cplx, table)
     coker = _cokernel(table, degree + 1 - t, alpha, degree - b)
     ker = _kernel(table, degree - t, alpha, degree - 1 - b)
     return CofiberGroup(cplx.name, degree, coker, ker)
@@ -562,9 +532,9 @@ def image_order_in_cofiber(element, cplx: CellComplex, table: GradedTable):
     of the LES, so this is the order in that quotient; INF when infinite.
     """
     e = element if isinstance(element, Element) else table.element(element)
-    b, t, alpha = _attaching_class(cplx, table)
+    alpha = _attaching_class(cplx, table)
     target = e.degree
-    source = target + b + 1 - t
+    source = target + cplx.bottom + 1 - cplx.top
     tgt = table.gens(target)
     if not tgt:
         return 1

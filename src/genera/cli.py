@@ -298,17 +298,7 @@ def main(argv=None) -> int:
         os.environ["GENERA_DATA_DIR"] = args.data_dir
     try:
         return args.func(args, sys.stdout)
-    except (
-        FileNotFoundError,
-        json.JSONDecodeError,
-        cells.TableError,
-        cells.WindowError,
-        cells.ProductError,
-        genus.ChernDataError,
-        hodge.HodgeError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # the library's data errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -131,11 +131,6 @@ def d_sp_report(k: int) -> DivReport:
     return _report("sp", k, closed, [("closed_form", closed), ("cells_order", order)])
 
 
-def d_ko_report(k: int) -> DivReport:
-    v = d_ko(k)
-    return _report("ko", k, v, [("case_table", v)])
-
-
 # ----------------------------------------------------------------------
 # verdicts
 

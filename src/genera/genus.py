@@ -113,8 +113,11 @@ class ChernData:
 
     @classmethod
     def from_obj(cls, obj) -> "ChernData":
+        raw = obj.get("numbers", {}) if isinstance(obj, dict) else None
+        if not isinstance(raw, dict):
+            raise ChernDataError("Chern data must be an object whose numbers are an object")
         numbers = {parse_partition_key(k): _json_int(f"number for {k!r}", v)
-                   for k, v in obj.get("numbers", {}).items()}
+                   for k, v in raw.items()}
         if "dimc" not in obj:
             raise ChernDataError("missing dimc")
         return cls(str(obj.get("label", "unnamed")), _json_int("dimc", obj["dimc"]), numbers)

@@ -95,11 +95,6 @@ def delta(qmax: int) -> QExpansion:
     return QExpansion(24, LaurentSeries.monomial(0, qmax, 1, ()) * prod)
 
 
-def eta24(qmax: int) -> QExpansion:
-    """Alias: the 24th power of the eta series equals delta."""
-    return delta(qmax)
-
-
 def verify_ring_relation(qmax: int) -> bool:
     """e4^3 - e6^2 == 1728 * delta, coefficientwise up to q^qmax."""
     lhs = e4(qmax) ** 3 - e6(qmax) ** 2

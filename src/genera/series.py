@@ -19,7 +19,6 @@ Laurent polynomial, which holds for everything built here.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -39,10 +38,9 @@ def coeff_from_str(s) -> Fraction:
 
 
 class LaurentSeries:
-    __slots__ = ("nvars", "qmax", "coeffs", "integral")
+    __slots__ = ("nvars", "qmax", "coeffs")
 
-    def __init__(self, nvars: int, qmax: int, coeffs: Mapping | None = None,
-                 integral: bool = False):
+    def __init__(self, nvars: int, qmax: int, coeffs: Mapping | None = None):
         if nvars < 0:
             raise ValueError("nvars must be >= 0")
         if qmax < 0:
@@ -66,9 +64,6 @@ class LaurentSeries:
                 if c != 0:
                     clean[(n, R)] = c
         self.coeffs = clean
-        if integral and not self.is_integral:
-            raise ValueError("series marked integral has non-integer coefficients")
-        self.integral = bool(integral)
 
     # ------------------------------------------------------------------
     # constructors
@@ -269,18 +264,6 @@ class LaurentSeries:
         return LaurentSeries(self.nvars, qmax,
                              {k: c for k, c in self.coeffs.items() if k[0] <= qmax})
 
-    def y_scale(self, t: int, var: int = 0) -> "LaurentSeries":
-        """Substitute y_var -> y_var^t (i.e. z_var -> t*z_var). t may be negative."""
-        if not isinstance(t, int) or t == 0:
-            raise ValueError("scale must be a nonzero integer")
-        if not 0 <= var < self.nvars:
-            raise ValueError("no such variable")
-        out: dict = {}
-        for (n, R), c in self.coeffs.items():
-            R2 = tuple(r * t if i == var else r for i, r in enumerate(R))
-            out[(n, R2)] = out.get((n, R2), Fraction(0)) + c
-        return LaurentSeries(self.nvars, self.qmax, out)
-
     def diagonal(self) -> "LaurentSeries":
         """Identify all y-variables: returns a 1-variable series with R = sum R_i."""
         if self.nvars == 0:
@@ -313,11 +296,11 @@ class LaurentSeries:
         return LaurentSeries(0, self.qmax, out)
 
     def as_integral(self) -> "LaurentSeries":
-        """Return self flagged integral; raises if any coefficient is fractional."""
+        """Return self; raises if any coefficient is fractional."""
         if not self.is_integral:
             bad = [(k, c) for k, c in sorted(self.coeffs.items()) if c.denominator != 1][:3]
             raise ValueError(f"non-integral coefficients, e.g. {bad}")
-        return LaurentSeries(self.nvars, self.qmax, self.coeffs, integral=True)
+        return self
 
     # ------------------------------------------------------------------
     # serialization
@@ -344,12 +327,3 @@ class LaurentSeries:
         if obj.get("integral"):
             s = s.as_integral()
         return s
-
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        kwargs.setdefault("indent", 2)
-        return json.dumps(self.to_obj(), **kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LaurentSeries":
-        return cls.from_obj(json.loads(text))

@@ -32,14 +32,3 @@ def divides(d, e: int) -> bool:
 
 def value_str(v) -> str:
     return "inf" if v is INF else str(v)
-
-
-def lcm_with_inf(values):
-    """lcm of a collection of positive ints and INFs; INF absorbs."""
-    from math import lcm
-    out = 1
-    for v in values:
-        if v is INF:
-            return INF
-        out = lcm(out, v)
-    return out

@@ -2,10 +2,11 @@
 
 import json
 import math
+import pathlib
 
 import pytest
 
-from genera import cells
+from genera import cells, genus
 from genera.values import INF
 
 
@@ -140,6 +141,10 @@ def test_audit_out_of_window_product(tmp_path):
     bad["action"] = bad["action"] + [["b", "c", 0]]
     with pytest.raises((cells.TableError, cells.WindowError)):
         cells.table_load(_write(tmp_path, bad))
+    # action entries must be [gen, gen, result] lists, the action itself a list
+    for action in ([5], [["a", "a", "a"], "abc"], {"a": "a"}):
+        with pytest.raises(cells.TableError):
+            cells.table_load(_write(tmp_path, toy_table(action=action)))
 
 
 def test_audit_window_shape(tmp_path):
@@ -152,6 +157,16 @@ def test_audit_missing_degree(tmp_path):
     del bad["groups"]["1"]
     with pytest.raises(cells.TableError):
         cells.table_load(_write(tmp_path, bad))
+    # group entries must be lists of {gen, order} objects with integer orders
+    for entry in ([1], 5, [{"gen": "b"}], [{"gen": "b", "order": "2"}],
+                  [{"gen": "b", "order": -2}], [{"order": 2}]):
+        bad = toy_table()
+        bad["groups"]["1"] = entry
+        with pytest.raises(cells.TableError):
+            cells.table_load(_write(tmp_path, bad))
+    for raw in ([1, 2], toy_table(groups=[])):
+        with pytest.raises(cells.TableError):
+            cells.table_load(_write(tmp_path, raw))
 
 
 # ---------------------------------------------------------------- elements
@@ -273,18 +288,21 @@ def test_image_order_of_zero(mod_eta, pi_tmf):
 # ---------------------------------------------------------------- diagrams
 
 
-def test_shipped_diagrams_load():
-    for name in ("tjf_2", "tjf_3", "tjf_4", "tjf_5", "tjf_6"):
-        cplx = cells.complex_load(name)
-        assert cplx.cells[0].degree == 0
-        assert cplx.cells[0].attach == ()
-    for name in ("tejf_2", "tejf_4", "tejf_6", "tejf_8"):
-        cplx = cells.complex_load(name)
-        degs = cplx.degrees
-        assert degs == tuple(range(0, 4 * len(degs), 4))
-        # cell 4j attaches to cell 4(j-1) by j nu
-        for j, cell in enumerate(cplx.cells[1:], start=1):
-            assert cell.attach == ((j - 1, j, "nu"),)
+DATA_DIR = pathlib.Path(cells.__file__).parent / "data"
+
+
+@pytest.mark.parametrize("path", sorted(DATA_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_bundled_data_loads(path):
+    raw = json.loads(path.read_text())
+    if "groups" in raw:
+        cells.table_load(str(path))
+    elif "cells" in raw:
+        cplx = cells.complex_load(str(path))
+        assert cplx.bottom == 0 and cplx.attach
+    elif "numbers" in raw:
+        genus.ChernData.load(str(path))
+    else:
+        pytest.fail(f"{path.name} matches no data loader")
 
 
 def test_tjf2_matches_intro_claim(pi_tmf):
@@ -292,29 +310,35 @@ def test_tjf2_matches_intro_claim(pi_tmf):
     assert cells.cofiber_homotopy(cplx, pi_tmf, 5).describe() == "Z/2"
 
 
-def test_subquotient(pi_tmf):
-    tjf5 = cells.complex_load("tjf_5")
-    sub = cells.subquotient(tjf5, 3, 4)  # cells of degree 8 and 10
-    assert sub.degrees == (8, 10)
-    assert sub.cells[1].attach == ((0, 1, "eta"),)
-    with pytest.raises(cells.TableError):
-        cells.subquotient(tjf5, 4, 3)
-    with pytest.raises(cells.TableError):
-        cells.cofiber_homotopy(tjf5, pi_tmf, 5)  # not two-cell
+NU = {"gen": "nu", "mult": 1}
+
+# malformed complex files, each with a fragment of the expected message
+BAD_COMPLEXES = {
+    "no-cells": ({"name": "x", "cells": []}, "has 0 cells"),
+    "one-cell": ({"cells": [{"deg": 0}]}, "has 1 cells"),
+    "three-cells": ({"cells": [{"deg": 0}, {"deg": 4, "attach": NU},
+                               {"deg": 6, "attach": {"gen": "eta", "mult": 1}}]},
+                    "has 3 cells"),
+    "to-1": ({"cells": [{"deg": 0}, {"deg": 4, "attach": dict(NU, to=1)}]}, "cell 1"),
+    "top-not-above": ({"cells": [{"deg": 4}, {"deg": 4, "attach": NU}]}, "must exceed"),
+    "bottom-attach": ({"cells": [{"deg": 0, "attach": NU}, {"deg": 4, "attach": NU}]},
+                      "bottom cell"),
+    "top-no-attach": ({"cells": [{"deg": 0}, {"deg": 4}]}, "top cell"),
+    "top-empty-attach": ({"cells": [{"deg": 0}, {"deg": 4, "attach": []}]}, "top cell"),
+    "not-an-object": ([1, 2], "list of cell objects"),
+    "cells-not-a-list": ({"cells": {"deg": 0}}, "list of cell objects"),
+    "no-degree": ({"cells": [{}, {"deg": 4, "attach": NU}]}, "malformed"),
+}
 
 
 def test_complex_validation(tmp_path):
-    with pytest.raises(cells.TableError):
-        cells.complex_load(_write(tmp_path, {"name": "x", "cells": []}))
-    with pytest.raises(cells.TableError):
-        cells.complex_load(_write(tmp_path, {
-            "cells": [{"deg": 0, "attach": {"gen": "nu", "mult": 1}}, {"deg": 4}]
-        }))
-    with pytest.raises(cells.TableError):
-        cells.complex_load(_write(tmp_path, {
-            "cells": [{"deg": 0}, {"deg": 4, "attach": {"gen": "nu", "mult": 1}},
-                      {"deg": 4, "attach": {"gen": "eta", "mult": 1}}]
-        }))
+    for label, (obj, fragment) in BAD_COMPLEXES.items():
+        with pytest.raises(cells.TableError, match=fragment):
+            cells.complex_load(_write(tmp_path, obj, f"{label}.json"))
+    ok = cells.complex_load(_write(tmp_path, {
+        "cells": [{"deg": 0}, {"deg": 4, "attach": [dict(NU, to=0)]}]
+    }, "ok.json"))
+    assert (ok.name, ok.bottom, ok.top, ok.attach) == ("ok", 0, 4, ((1, "nu"),))
 
 
 def test_attach_degree_checked(tmp_path, pi_tmf):

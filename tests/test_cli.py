@@ -118,6 +118,15 @@ def test_genus_non_integer_chern_data_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_genus_non_object_chern_data_is_a_usage_error(tmp_path, capsys):
+    for i, obj in enumerate(([1, 2], {"dimc": 2, "numbers": [24, 0]})):
+        f = tmp_path / f"shape{i}.json"
+        f.write_text(json.dumps(obj))
+        rc, out, err = run(capsys, "genus", "euler", "--chern", str(f))
+        assert rc == 2 and out == ""
+        assert err.startswith("error:")
+
+
 # ---------------------------------------------------------------- divis
 
 
@@ -194,11 +203,43 @@ def test_cells_homotopy(capsys):
     }
 
 
-def test_cells_homotopy_needs_two_cells(capsys):
-    rc, _out, err = run(capsys, "cells", "homotopy", "--complex", "tjf_5",
-                        "--table", "pi_tmf", "--deg", "5")
-    assert rc == 2
-    assert "subquotient" in err
+def test_cells_homotopy_needs_two_cells(tmp_path, capsys):
+    nu = {"gen": "nu", "mult": 1}
+    f = tmp_path / "three.json"
+    f.write_text(json.dumps({"cells": [{"deg": 0}, {"deg": 4, "attach": nu},
+                                       {"deg": 8, "attach": dict(nu, to=1)}]}))
+    rc, out, err = run(capsys, "cells", "homotopy", "--complex", str(f),
+                       "--table", "pi_tmf", "--deg", "5")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "3 cells" in err
+
+
+@pytest.mark.parametrize("obj", [
+    [1, 2],
+    {"cells": [{"deg": 0}]},
+    {"cells": [{"deg": 0}, {"deg": 4, "attach": {"gen": "nu", "mult": 1, "to": 1}}]},
+    {"cells": [{"deg": 4}, {"deg": 2, "attach": {"gen": "nu", "mult": 1}}]},
+    {"cells": [{"deg": 0, "attach": {"gen": "nu", "mult": 1}}, {"deg": 4}]},
+    {"cells": [{"deg": 0}, {"deg": 4}]},
+], ids=["not-an-object", "one-cell", "to-1", "top-below", "bottom-attach", "no-attach"])
+def test_cells_homotopy_rejects_malformed_complex(tmp_path, capsys, obj):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "cells", "homotopy", "--complex", str(f),
+                       "--table", "pi_tmf", "--deg", "5")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_cells_malformed_table_is_a_usage_error(tmp_path, capsys):
+    for i, (groups, action) in enumerate((({"0": [1]}, []), ({"0": []}, [5]))):
+        f = tmp_path / f"table{i}.json"
+        f.write_text(json.dumps({"name": "bad", "window": [0, 0],
+                                 "groups": groups, "action": action}))
+        rc, out, err = run(capsys, "cells", "order", "--table", str(f),
+                           "--element", "one")
+        assert rc == 2 and out == ""
+        assert err.startswith("error:")
 
 
 def test_cells_order(capsys):

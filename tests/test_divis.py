@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from genera import divis
-from genera.values import INF, divides, lcm_with_inf, value_str
+from genera.values import INF, divides, value_str
 
 
 def test_d_clas_frozen():
@@ -119,6 +119,3 @@ def test_inf_value_semantics():
     assert not divides(INF, 24)
     assert divides(6, 24)
     assert not divides(5, 24)
-    assert lcm_with_inf([2, 3, INF]) is INF
-    assert lcm_with_inf([4, 6]) == 12
-    assert lcm_with_inf([]) == 1

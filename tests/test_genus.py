@@ -113,6 +113,10 @@ def test_chern_data_validation():
     for bad in (2.0, True, "2"):
         with pytest.raises(genus.ChernDataError):
             genus.ChernData.from_obj({"dimc": bad, "numbers": {"2": 24, "1,1": 0}})
+    # the file and its numbers must be JSON objects
+    for bad in ([1, 2], "k3", {"dimc": 2, "numbers": [24, 0]}):
+        with pytest.raises(genus.ChernDataError):
+            genus.ChernData.from_obj(bad)
 
 
 def test_missing_chern_number_is_an_error():

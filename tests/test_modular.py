@@ -24,7 +24,6 @@ def test_delta_expansion():
     # tau(n): 1, -24, 252, -1472, 4830, -6048
     assert [d.coeff(n) for n in range(7)] == [0, 1, -24, 252, -1472, 4830, -6048]
     assert d.weight2 == 24
-    assert modular.eta24(6).series == d.series
 
 
 def test_ring_relation():
