@@ -149,22 +149,20 @@ def _terms(table: GradedTable, spec) -> list:
 
 
 def _parse_result(raw) -> list:
-    # action result: 0, "gen", {"gen","mult"}, or a list of the dict form
+    # action result: 0, "gen", {"gen", "mult"}, or a list of the last two forms
     if raw == 0:
         return []
-    if isinstance(raw, str):
-        return [(1, raw)]
-    if isinstance(raw, dict):
-        return [(int(raw["mult"]), raw["gen"])]
-    if isinstance(raw, list):
-        out = []
-        for item in raw:
-            if isinstance(item, str):
-                out.append((1, item))
-            else:
-                out.append((int(item["mult"]), item["gen"]))
-        return out
-    raise TableError(f"bad action result {raw!r}")
+    out = []
+    for item in raw if isinstance(raw, list) else [raw]:
+        if isinstance(item, str):
+            out.append((1, item))
+        elif (isinstance(item, dict) and isinstance(item.get("gen"), str)
+              and type(item.get("mult")) is int):
+            out.append((item["mult"], item["gen"]))
+        else:
+            raise TableError(f"bad action result {raw!r}: need a generator name or "
+                             "a {gen, mult} object with a JSON-integer mult")
+    return out
 
 
 def table_load(path: str) -> GradedTable:
@@ -181,11 +179,14 @@ def table_load(path: str) -> GradedTable:
         raw = json.load(fh)
     try:
         name = raw["name"]
-        lo, hi = raw["window"]
+        window = raw["window"]
         groups_raw = raw["groups"]
         action_raw = raw["action"]
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, TypeError) as exc:
         raise TableError(f"malformed table file {fpath}: {exc}") from None
+    if not isinstance(window, list) or len(window) != 2 or any(type(w) is not int for w in window):
+        raise TableError(f"table {name}: window must be two JSON integers, got {window!r}")
+    lo, hi = window
     connective = bool(raw.get("connective", False))
     if lo > hi:
         raise TableError(f"empty window [{lo}, {hi}]")

@@ -1,15 +1,23 @@
 """Elliptic genera of almost-complex manifolds from Chern numbers.
 
 The genus of M (complex dimension k) is the integral over M of a product of
-one universal factor per Chern root x_j:
+one universal factor per Chern root x_j. With the Jacobi generator a, an odd
+theta function of z with y = e^z, that factor is
 
-    F(x) = y^{1/2} * x/(1-e^{-x}) * (1 - y^{-1} e^{-x})
+    F(x) = x * a(z + x) / a(x)
+         = y^{1/2} * x/(1-e^{-x}) * (1 - y^{-1} e^{-x})
            * prod_{m>=1} (1-q^m y e^x)(1-q^m y^{-1} e^{-x})
-                       / ((1-q^m e^x)(1-q^m e^{-x}))
+                       / ((1-q^m e^x)(1-q^m e^{-x})).
 
-F(0) equals the weight -2 Jacobi generator a. With F(x) = sum_d F_d x^d, the
-degree-k part of prod_{j=1}^k F(x_j) has, on the monomial symmetric function
-m_lam of a partition lam of k with l(lam) parts, the coefficient
+Its x-expansion needs no product: the Taylor coefficients of a(z + x) are
+the y-derivatives of a, and x/a(x) = exp(sum_{k>=1} 2 G_2k x^2k / (2k)!) with
+the Eisenstein series G_2k = -B_2k/(4k) + sum_n sigma_{2k-1}(n) q^n
+(Zagier, Invent. Math. 104, 1991; Hirzebruch, Berger and Jung, Manifolds
+and Modular Forms, 1992). F(0) is a itself.
+
+With F(x) = sum_d F_d x^d, the degree-k part of prod_{j=1}^k F(x_j) has,
+on the monomial symmetric function m_lam of a partition lam of k with
+l(lam) parts, the coefficient
 
     F_0^{k - l(lam)} * prod_i F_{lam_i},
 
@@ -35,9 +43,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
+from math import factorial
 from operator import mul
 
 from genera.jacobi import JacobiForm, generator_a
+from genera.modular import sigma
 from genera.series import LaurentSeries
 
 
@@ -190,58 +200,35 @@ def _pmul(A: list, B: list, xdeg: int) -> list:
 
 
 def factor_polynomial(qmax: int, xdeg: int, nvars: int = 1, slot: int = 0) -> list[LaurentSeries]:
-    """Coefficients [F_0, ..., F_xdeg] of the universal factor in one root.
+    """Coefficients [F_0, ..., F_xdeg] of F(x) = x * a(z + x) / a(x) in one root.
 
-    The elliptic variable sits in the given slot of an nvars-variable ring.
-    F_0 is exactly the Jacobi generator a in that slot.
+    The x^i coefficient of a(z + x) is (y d/dy)^i a / i!: the y^{R/2} term of
+    a scaled by (R/2)^i / i!. The x^d coefficient E_d of x/a(x) is a pure
+    q-series; with K_d = 2 G_d / (d-1)! for even d and K_d = 0 for odd d,
+    the exponential gives d * E_d = sum_{i=1}^d K_i * E_{d-i}, and
+    F = (the shifts of a) * E. The elliptic variable sits in the given slot
+    of an nvars-variable ring; F_0 is exactly the generator a in that slot.
     """
     if nvars < 1 or not 0 <= slot < nvars:
         raise ValueError("need nvars >= 1 and a valid slot")
-    one = LaurentSeries.one(nvars, qmax)
+    a = generator_a(qmax).series
+    shifts = [LaurentSeries(1, qmax, {
+        (n, (r,)): c * Fraction(r, 2) ** i / factorial(i) for (n, (r,)), c in a.coeffs.items()
+    }).embed(nvars, slot) for i in range(xdeg + 1)]
 
-    def ymon(r, n=0, c=1):
-        R = [0] * nvars
-        R[slot] = r
-        return LaurentSeries.monomial(nvars, qmax, n, tuple(R), c)
-
-    def scalar_poly(coeffs):
-        return [one * c for c in coeffs]
-
-    # Todd factor and the zero factor (1 - y^{-1} e^{-x})
-    todd = scalar_poly(_todd_coeffs(xdeg))
-    fact = 1
-    zero_factor = [one - ymon(-2)]
+    zero = (0,) * nvars
+    todd = _todd_coeffs(xdeg)
+    K = {}
+    E = [LaurentSeries.one(nvars, qmax)]
     for d in range(1, xdeg + 1):
-        fact *= d
-        zero_factor.append(ymon(-2, c=Fraction(-((-1) ** d), fact)))
-
-    F = _pmul(todd, zero_factor, xdeg)
-
-    facts = [1]
-    for d in range(1, xdeg + 1):
-        facts.append(facts[-1] * d)
-
-    for m in range(1, qmax + 1):
-        # 1 - q^m y e^x  and  1 - q^m y^{-1} e^{-x}
-        f1 = [one - ymon(2, n=m)]
-        f2 = [one - ymon(-2, n=m)]
-        for d in range(1, xdeg + 1):
-            f1.append(ymon(2, n=m, c=Fraction(-1, facts[d])))
-            f2.append(ymon(-2, n=m, c=Fraction(-((-1) ** d), facts[d])))
-        F = _pmul(F, f1, xdeg)
-        F = _pmul(F, f2, xdeg)
-        # (1 - q^m e^{+-x})^{-1} = sum_j q^{mj} e^{+-jx}, truncating at qmax
-        g1 = [LaurentSeries.zero(nvars, qmax) for _ in range(xdeg + 1)]
-        g2 = [LaurentSeries.zero(nvars, qmax) for _ in range(xdeg + 1)]
-        for j in range(0, qmax // m + 1):
-            for d in range(xdeg + 1):
-                c = Fraction(j ** d, facts[d])
-                g1[d] = g1[d] + ymon(0, n=m * j, c=c)
-                g2[d] = g2[d] + ymon(0, n=m * j, c=c * (-1) ** d)
-        F = _pmul(F, g1, xdeg)
-        F = _pmul(F, g2, xdeg)
-
-    return [ymon(1) * Fd for Fd in F]
+        if d % 2 == 0:
+            coeffs = {(n, zero): Fraction(2 * sigma(d - 1, n), factorial(d - 1))
+                      for n in range(1, qmax + 1)}
+            coeffs[(0, zero)] = -todd[d]  # 2 * (-B_d/(2d)) / (d-1)!, B_d = d! * todd[d]
+            K[d] = LaurentSeries(nvars, qmax, coeffs)
+        E.append(sum((K[i] * E[d - i] for i in range(2, d + 1, 2)),
+                     LaurentSeries.zero(nvars, qmax)) * Fraction(1, d))
+    return _pmul(shifts, E, xdeg)
 
 
 # ----------------------------------------------------------------------

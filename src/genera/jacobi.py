@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from genera import modular
-from genera.series import LaurentSeries
+from genera.series import LaurentSeries, require_keys
 
 GENERATOR_NAMES = ("a", "phi01", "phi032", "phi02", "phi04")
 
@@ -104,6 +104,7 @@ class JacobiForm:
 
     @classmethod
     def from_obj(cls, obj) -> "JacobiForm":
+        require_keys(obj, "weight2", "index2")
         return cls(int(obj["weight2"]), int(obj["index2"]),
                    LaurentSeries.from_obj(obj))
 

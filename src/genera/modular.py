@@ -18,7 +18,7 @@ from fractions import Fraction
 from genera.series import LaurentSeries
 
 
-def _sigma(k: int, n: int) -> int:
+def sigma(k: int, n: int) -> int:
     """Divisor power sum sigma_k(n) for n >= 1."""
     total = 0
     for d in range(1, n + 1):
@@ -74,7 +74,7 @@ def e4(qmax: int) -> QExpansion:
     """Eisenstein series of weight 4: 1 + 240 sum sigma_3(n) q^n."""
     coeffs = {(0, ()): Fraction(1)}
     for n in range(1, qmax + 1):
-        coeffs[(n, ())] = Fraction(240 * _sigma(3, n))
+        coeffs[(n, ())] = Fraction(240 * sigma(3, n))
     return QExpansion(8, LaurentSeries(0, qmax, coeffs))
 
 
@@ -82,7 +82,7 @@ def e6(qmax: int) -> QExpansion:
     """Eisenstein series of weight 6: 1 - 504 sum sigma_5(n) q^n."""
     coeffs = {(0, ()): Fraction(1)}
     for n in range(1, qmax + 1):
-        coeffs[(n, ())] = Fraction(-504 * _sigma(5, n))
+        coeffs[(n, ())] = Fraction(-504 * sigma(5, n))
     return QExpansion(12, LaurentSeries(0, qmax, coeffs))
 
 

@@ -37,6 +37,15 @@ def coeff_from_str(s) -> Fraction:
     return Fraction(str(s))
 
 
+def require_keys(obj, *keys) -> None:
+    """Raise ValueError unless obj is a JSON object holding every key."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"missing key(s) {', '.join(map(repr, missing))}")
+
+
 class LaurentSeries:
     __slots__ = ("nvars", "qmax", "coeffs")
 
@@ -315,14 +324,18 @@ class LaurentSeries:
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "LaurentSeries":
-        nvars = int(obj["nvars"])
-        qmax = int(obj["qmax"])
-        coeffs = {}
-        for n, R, c in obj["terms"]:
-            key = (int(n), tuple(int(r) for r in R))
-            if key in coeffs:
-                raise ValueError(f"duplicate term {key}")
-            coeffs[key] = coeff_from_str(c)
+        require_keys(obj, "nvars", "qmax", "terms")
+        try:
+            nvars = int(obj["nvars"])
+            qmax = int(obj["qmax"])
+            coeffs = {}
+            for n, R, c in obj["terms"]:
+                key = (int(n), tuple(int(r) for r in R))
+                if key in coeffs:
+                    raise ValueError(f"duplicate term {key}")
+                coeffs[key] = coeff_from_str(c)
+        except TypeError as exc:  # a wrong JSON type where a number or list belongs
+            raise ValueError(f"malformed series: {exc}") from None
         s = cls(nvars, qmax, coeffs)
         if obj.get("integral"):
             s = s.as_integral()

@@ -67,11 +67,15 @@ def test_jf_check_flags_corruption(tmp_path, capsys):
 
 
 def test_jf_check_rejects_malformed_json(tmp_path, capsys):
-    f = tmp_path / "junk.json"
-    f.write_text("not json at all")
-    rc, _out, err = run(capsys, "jf", "check", str(f))
-    assert rc == 2
-    assert err.startswith("error:")
+    # not JSON, a non-object file, an object missing every key, a bad term
+    bad_term = '{"weight2": 0, "index2": 1, "nvars": 1, "qmax": 1, "terms": [5]}'
+    for i, text in enumerate(("not json at all", "[1, 2]", bad_term, "{}")):
+        f = tmp_path / f"junk{i}.json"
+        f.write_text(text)
+        rc, out, err = run(capsys, "jf", "check", str(f))
+        assert rc == 2 and out == ""
+        assert err.startswith("error:")
+    assert "weight2" in err
 
 
 # ---------------------------------------------------------------- genus
@@ -232,9 +236,19 @@ def test_cells_homotopy_rejects_malformed_complex(tmp_path, capsys, obj):
 
 
 def test_cells_malformed_table_is_a_usage_error(tmp_path, capsys):
-    for i, (groups, action) in enumerate((({"0": [1]}, []), ({"0": []}, [5]))):
+    one = {"0": [{"gen": "one", "order": 0}]}
+    cases = [
+        ([0, 0], {"0": [1]}, []),
+        ([0, 0], {"0": []}, [5]),
+        (["0", "0"], one, []),  # the window takes JSON integers only
+        ([0.0, 7.0], one, []),
+        ([0, 0], one, [["one", "one", {"gen": "one"}]]),  # result without mult
+        ([0, 0], one, [["one", "one", {"gen": "one", "mult": "1"}]]),
+        ([0, 0], one, [["one", "one", [5]]]),  # list items: names or objects
+    ]
+    for i, (window, groups, action) in enumerate(cases):
         f = tmp_path / f"table{i}.json"
-        f.write_text(json.dumps({"name": "bad", "window": [0, 0],
+        f.write_text(json.dumps({"name": "bad", "window": window,
                                  "groups": groups, "action": action}))
         rc, out, err = run(capsys, "cells", "order", "--table", str(f),
                            "--element", "one")

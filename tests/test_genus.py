@@ -1,5 +1,8 @@
 """Characteristic-class genus pipeline against its published anchors."""
 
+from fractions import Fraction
+from math import factorial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +67,16 @@ def test_genus_multiplicativity(k3):
     assert got.series == (g * g).series
 
 
+def _bernoulli_plus(n):
+    """B_n with B_1 = +1/2, by the Akiyama-Tanigawa algorithm."""
+    A = [Fraction(0)] * (n + 1)
+    for m in range(n + 1):
+        A[m] = Fraction(1, m + 1)
+        for j in range(m, 0, -1):
+            A[j - 1] = j * (A[j - 1] - A[j])
+    return A[0]
+
+
 def test_factor_polynomial_bottom_is_a():
     for qmax in (2, 5):
         F = genus.factor_polynomial(qmax, 3)
@@ -71,6 +84,21 @@ def test_factor_polynomial_bottom_is_a():
     # embedded slots carry the same series on their own variable
     F2 = genus.factor_polynomial(3, 2, nvars=2, slot=1)
     assert F2[0] == jacobi.generator("a", 3).series.embed(2, 1)
+    # the higher coefficients, checked against F(x) at z = 0 and at q = 0
+    qmax, xdeg = 3, 4
+    # the Todd series x/(1 - e^{-x}) has x^d coefficient B_d / d! (B_1 = +1/2)
+    todd = [_bernoulli_plus(d) / factorial(d) for d in range(xdeg + 1)]
+    for nvars, slot in ((1, 0), (2, 1)):
+        F = genus.factor_polynomial(qmax, xdeg, nvars=nvars, slot=slot)
+        assert len(F) == xdeg + 1
+        key = {r: tuple(r if i == slot else 0 for i in range(nvars)) for r in (1, -1)}
+        for d, Fd in enumerate(F):
+            # F(x, z=0) = x: every y_i = 1 leaves x alone
+            assert Fd.collapse_y() == LaurentSeries.const(0, qmax, int(d == 1))
+            # q^0 layer: y^{1/2} (1 - y^{-1} e^{-x}) x/(1 - e^{-x})
+            low = -sum(todd[d - j] * Fraction((-1) ** j, factorial(j)) for j in range(d + 1))
+            want = {key[1]: todd[d], key[-1]: low}
+            assert Fd.q_layer(0) == {R: c for R, c in want.items() if c}
 
 
 def test_two_variable_diagonal(k3):
@@ -169,6 +197,14 @@ def test_genus_at_z0_is_the_euler_number(m, qmax):
     ev = jacobi.ev_z0(genus.elliptic_genus(m, nvars=1, qmax=qmax))
     assert ev.coeff(0) == genus.euler_number(m)
     assert all(ev.coeff(n) == 0 for n in range(1, qmax + 1))
+    # the elliptic law needs c1 = 0: with every Chern number that has a c1
+    # factor set to zero the data is rationally that of an SU-manifold and
+    # the genus is a Jacobi form; with c1 = 1 at dimc 1 it is
+    # (y^{1/2} + y^{-1/2})/2, which breaks the law
+    su = genus.ChernData("su", m.dimc, {p: 0 if 1 in p else v for p, v in m.numbers.items()})
+    g = genus.elliptic_genus(su, nvars=1, qmax=qmax)
+    for lam in (1, -1):
+        assert jacobi.check_elliptic_law(g, lam).ok
 
 
 @PROPS
