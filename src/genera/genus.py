@@ -281,10 +281,15 @@ def _monomial_integrals(M: ChernData) -> dict:
 
 
 def elliptic_genus(M: ChernData, nvars: int = 1, qmax: int = 10) -> JacobiForm:
-    """The elliptic genus of M as a weak Jacobi form.
+    """The elliptic genus of M, tagged as a weak Jacobi form.
 
     Weight 0; index2 = dimc in each of the nvars elliptic variables.
     Raises ChernDataError if a needed Chern number is absent.
+
+    The result obeys the elliptic transformation law only when every Chern
+    number with a c1 factor is zero (rationally, SU data). Otherwise it is
+    still returned with the same tags but is no Jacobi form: for dimc 1 and
+    c1 = 1 it is (y^{1/2} + y^{-1/2})/2, which breaks the law.
     """
     if M.dimc == 0:
         s = LaurentSeries.const(max(nvars, 1), qmax, M.number(()))

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from genera import modular
-from genera.series import LaurentSeries, require_keys
+from genera.series import LaurentSeries, json_int, require_keys
 
 GENERATOR_NAMES = ("a", "phi01", "phi032", "phi02", "phi04")
 
@@ -105,7 +105,7 @@ class JacobiForm:
     @classmethod
     def from_obj(cls, obj) -> "JacobiForm":
         require_keys(obj, "weight2", "index2")
-        return cls(int(obj["weight2"]), int(obj["index2"]),
+        return cls(json_int("weight2", obj["weight2"]), json_int("index2", obj["index2"]),
                    LaurentSeries.from_obj(obj))
 
 
@@ -123,23 +123,25 @@ def _lift(s: LaurentSeries, nvars: int) -> LaurentSeries:
 
 
 def _product_side(qmax: int, t: int) -> LaurentSeries:
-    """prod_{m>=1} (1 - q^m y^t)(1 - q^m y^-t), truncated at q^qmax."""
-    one = LaurentSeries.one(1, qmax)
-    out = one
+    """prod_{m>=1} (1 - q^m y^t)(1 - q^m y^-t), truncated at q^qmax.
+
+    Each pair enters expanded, as 1 - q^m (y^t + y^-t) + q^2m: one product per m.
+    """
+    out = LaurentSeries.one(1, qmax)
     for m in range(1, qmax + 1):
-        f1 = one - LaurentSeries.monomial(1, qmax, m, (2 * t,))
-        f2 = one - LaurentSeries.monomial(1, qmax, m, (-2 * t,))
-        out = out * f1 * f2
+        out = out * LaurentSeries(1, qmax, {(0, (0,)): 1, (m, (2 * t,)): -1,
+                                            (m, (-2 * t,)): -1, (2 * m, (0,)): 1})
     return out
 
 
 def _euler_factor_sq_inv(qmax: int) -> LaurentSeries:
-    """[prod_{m>=1} (1 - q^m)^2]^{-1} as a 1-variable series (no y-support)."""
-    one = LaurentSeries.one(1, qmax)
-    prod = one
+    """[prod_{m>=1} (1 - q^m)^2]^{-1} as a 1-variable series (no y-support).
+
+    Each square enters expanded, as 1 - 2 q^m + q^2m: one product per m.
+    """
+    prod = LaurentSeries.one(1, qmax)
     for m in range(1, qmax + 1):
-        f = one - LaurentSeries.monomial(1, qmax, m, (0,))
-        prod = prod * f * f
+        prod = prod * LaurentSeries(1, qmax, {(0, (0,)): 1, (m, (0,)): -2, (2 * m, (0,)): 1})
     return prod.inverse()
 
 

@@ -90,9 +90,8 @@ def delta(qmax: int) -> QExpansion:
     """The discriminant form q * prod_{m>=1} (1 - q^m)^24, weight 12."""
     prod = LaurentSeries.one(0, qmax)
     for m in range(1, qmax + 1):
-        factor = LaurentSeries.one(0, qmax) - LaurentSeries.monomial(0, qmax, m, ())
-        prod = prod * factor ** 24
-    return QExpansion(24, LaurentSeries.monomial(0, qmax, 1, ()) * prod)
+        prod = prod * (LaurentSeries.one(0, qmax) - LaurentSeries.monomial(0, qmax, m, ()))
+    return QExpansion(24, LaurentSeries.monomial(0, qmax, 1, ()) * prod ** 24)
 
 
 def verify_ring_relation(qmax: int) -> bool:

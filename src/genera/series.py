@@ -12,6 +12,17 @@ returns a fresh instance. Binary operations truncate to the smaller qmax.
 There is no truncation in the y-direction; every q-layer must be a finite
 Laurent polynomial, which holds for everything built here.
 
+A product of two series is one integer multiplication (Kronecker
+substitution). Each operand is scaled to integer numerators over its common
+denominator and packed into one signed int with a w-bit slot per key
+(n, R_1, ..., R_k), w a multiple of 8, in mixed radix: the radix of each
+y-variable is the width of the product's R range in steps of the gcd of the
+exponent differences, so no slot overflows into the next. A slot holds at
+most max|a| * max|b| * min(#a, #b) in absolute value, plus a sign bit.
+Adding 2^(w-1) to every slot of the q-layers 0..qmax of the product makes
+them nonnegative fields that unpack without borrows; dividing by the
+product of the two denominators gives the Fraction coefficients back.
+
 >>> a = LaurentSeries.monomial(1, 4, 0, (1,)) - LaurentSeries.monomial(1, 4, 0, (-1,))
 >>> sorted((a * a).q_layer(0).items())
 [((-2,), Fraction(1, 1)), ((0,), Fraction(-2, 1)), ((2,), Fraction(1, 1))]
@@ -19,6 +30,8 @@ Laurent polynomial, which holds for everything built here.
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -35,6 +48,20 @@ def coeff_from_str(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
     return Fraction(str(s))
+
+
+def _numerators(coeffs: Mapping, qmax: int) -> tuple[dict, int]:
+    """Integer numerators over one common denominator, terms above qmax dropped."""
+    kept = {k: c for k, c in coeffs.items() if k[0] <= qmax}
+    den = math.lcm(*(c.denominator for c in kept.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in kept.items()}, den
+
+
+def json_int(what: str, value) -> int:
+    """value itself if it is a JSON integer; bools, floats and strings raise ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
 
 
 def require_keys(obj, *keys) -> None:
@@ -211,16 +238,71 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         qmax = self._common(other)
+        a, den_a = _numerators(self.coeffs, qmax)
+        b, den_b = _numerators(other.coeffs, qmax)
+        if not a or not b:
+            return LaurentSeries(self.nvars, qmax)
+
+        # Mixed radix over (n, digit_1, ..., digit_k), digit_i = (R_i - lo_i) // step_i.
+        # radix_i spans the product's range, so digit sums never carry.
+        lo_a, lo_b, steps, radix = [], [], [], []
+        for i in range(self.nvars):
+            ra = [R[i] for _, R in a]
+            rb = [R[i] for _, R in b]
+            la, lb = min(ra), min(rb)
+            step = math.gcd(*(r - la for r in ra), *(r - lb for r in rb)) or 1
+            lo_a.append(la)
+            lo_b.append(lb)
+            steps.append(step)
+            radix.append((max(ra) - la + max(rb) - lb) // step + 1)
+        places = []
+        layer = 1  # slots per q-layer
+        for r in reversed(radix):
+            places.append(layer)
+            layer *= r
+        places.reverse()
+
+        # Every product slot sums at most min(#a, #b) products: with a sign bit
+        # it fits in `width` bytes.
+        bound = (max(map(abs, a.values())) * max(map(abs, b.values()))
+                 * min(len(a), len(b)))
+        width = (bound.bit_length() + 8) // 8
+
+        def pack(nums, lo):
+            idx = {key: key[0] * layer + sum((r - l) // s * p for r, l, s, p
+                                               in zip(key[1], lo, steps, places))
+                   for key in nums}
+            zero = bytes(width)
+            pos = [zero] * (max(idx.values()) + 1)
+            neg = pos.copy()
+            for key, v in nums.items():
+                if v > 0:
+                    pos[idx[key]] = v.to_bytes(width, "little")
+                else:
+                    neg[idx[key]] = (-v).to_bytes(width, "little")
+            return (int.from_bytes(b"".join(pos), "little")
+                    - int.from_bytes(b"".join(neg), "little"))
+
+        # Adding half = 2^(8*width - 1) to every slot of q-layers 0..qmax makes
+        # each one a nonnegative byte field; the mask drops the layers above.
+        nslots = (qmax + 1) * layer
+        half = 1 << (8 * width - 1)
+        empty = half.to_bytes(width, "little")  # a zero slot after the offset
+        offset = int.from_bytes(empty * nslots, "little")
+        total = (pack(a, lo_a) * pack(b, lo_b) + offset) & ((1 << (8 * width * nslots)) - 1)
+        data = total.to_bytes(width * nslots, "little")
+
+        den = den_a * den_b
+        ys = list(itertools.product(*(range(la + lb, la + lb + r * s, s) for la, lb, r, s
+                                      in zip(lo_a, lo_b, radix, steps))))
         out: dict = {}
-        for (n1, R1), c1 in self.coeffs.items():
-            if n1 > qmax:
-                continue
-            for (n2, R2), c2 in other.coeffs.items():
-                n = n1 + n2
-                if n > qmax:
-                    continue
-                key = (n, tuple(r1 + r2 for r1, r2 in zip(R1, R2)))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+        j = 0
+        for n in range(qmax + 1):
+            for R in ys:
+                chunk = data[j:j + width]
+                j += width
+                if chunk != empty:
+                    out[(n, R)] = Fraction(int.from_bytes(chunk, "little") - half, den)
         return LaurentSeries(self.nvars, qmax, out)
 
     __rmul__ = __mul__
@@ -326,11 +408,11 @@ class LaurentSeries:
     def from_obj(cls, obj: Mapping) -> "LaurentSeries":
         require_keys(obj, "nvars", "qmax", "terms")
         try:
-            nvars = int(obj["nvars"])
-            qmax = int(obj["qmax"])
+            nvars = json_int("nvars", obj["nvars"])
+            qmax = json_int("qmax", obj["qmax"])
             coeffs = {}
             for n, R, c in obj["terms"]:
-                key = (int(n), tuple(int(r) for r in R))
+                key = (json_int("term q-power", n), tuple(json_int("term y-exponent", r) for r in R))
                 if key in coeffs:
                     raise ValueError(f"duplicate term {key}")
                 coeffs[key] = coeff_from_str(c)

@@ -76,6 +76,20 @@ def test_jf_check_rejects_malformed_json(tmp_path, capsys):
         assert rc == 2 and out == ""
         assert err.startswith("error:")
     assert "weight2" in err
+    # a value that is not a JSON integer, where one belongs, names its key
+    good = {"weight2": 0, "index2": 2, "nvars": 1, "qmax": 1, "terms": [[0, [0], "1"]]}
+    for key in ("weight2", "index2", "nvars", "qmax"):
+        for value in ([0], 2.5, "2", True):
+            f = tmp_path / f"{key}.json"
+            f.write_text(json.dumps({**good, key: value}))
+            rc, out, err = run(capsys, "jf", "check", str(f))
+            assert rc == 2 and out == ""
+            assert err.startswith("error:") and key in err
+    for term, what in (([0.5, [0], "1"], "q-power"), ([0, ["0"], "1"], "y-exponent")):
+        f = tmp_path / "term.json"
+        f.write_text(json.dumps({**good, "terms": [term]}))
+        rc, out, err = run(capsys, "jf", "check", str(f))
+        assert rc == 2 and out == "" and what in err
 
 
 # ---------------------------------------------------------------- genus

@@ -1,4 +1,8 @@
-"""Ring axioms, truncation, inverses, and serialization of LaurentSeries."""
+"""Ring axioms, truncation, inverses, and serialization of LaurentSeries.
+
+The product is checked against `reference_mul`, the schoolbook double loop
+over Fraction coefficients.
+"""
 
 from fractions import Fraction
 
@@ -11,6 +15,21 @@ from genera.series import LaurentSeries, coeff_from_str, coeff_to_str
 QMAX = 3
 
 coeff_st = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+big_coeff_st = st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**40))
+
+
+def reference_mul(f, g):
+    """f * g by the double loop over both operands' terms."""
+    qmax = min(f.qmax, g.qmax)
+    out = {}
+    for (n1, R1), c1 in f.coeffs.items():
+        for (n2, R2), c2 in g.coeffs.items():
+            n = n1 + n2
+            if n > qmax:
+                continue
+            key = (n, tuple(r1 + r2 for r1, r2 in zip(R1, R2)))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return LaurentSeries(f.nvars, qmax, out)
 
 
 def series_st(nvars=1, qmax=QMAX, coeffs=coeff_st):
@@ -21,6 +40,67 @@ def series_st(nvars=1, qmax=QMAX, coeffs=coeff_st):
     return st.dictionaries(keys, coeffs, max_size=8).map(
         lambda d: LaurentSeries(nvars, qmax, d)
     )
+
+
+@st.composite
+def series_pair_st(draw):
+    """Two series of one random nvars; exponents on a lattice offset + step * k."""
+    nvars = draw(st.integers(0, 3))
+    step = draw(st.sampled_from([1, 2, 3]))
+
+    def one():
+        qmax = draw(st.integers(0, 4))
+        offset = draw(st.tuples(*[st.integers(-3, 3)] * nvars))
+        keys = st.tuples(st.integers(0, qmax), st.tuples(*[st.integers(-2, 2)] * nvars)).map(
+            lambda key: (key[0], tuple(o + step * k for o, k in zip(offset, key[1]))))
+        return LaurentSeries(nvars, qmax, draw(st.dictionaries(keys, big_coeff_st, max_size=10)))
+
+    return one(), one()
+
+
+@given(series_pair_st())
+def test_product_matches_double_loop(pair):
+    f, g = pair
+    assert f * g == reference_mul(f, g)
+
+
+def test_product_edge_cases():
+    f = LaurentSeries(2, 3, {(0, (1, -3)): Fraction(-5, 6), (1, (0, 2)): 7, (3, (-1, 1)): 2})
+    copy = dict(f.coeffs)
+    zero = LaurentSeries.zero(2, 3)
+    assert f * zero == zero and zero * f == zero
+    assert f * LaurentSeries.zero(2, 1) == LaurentSeries.zero(2, 1)
+    # a single monomial shifts every term and scales it
+    m = LaurentSeries.monomial(2, 3, 1, (-3, 1), Fraction(2, 3))
+    assert m * f == f * m == LaurentSeries(2, 3, {
+        (n + 1, (R[0] - 3, R[1] + 1)): Fraction(2, 3) * c for (n, R), c in f.coeffs.items()})
+    # different qmax: the result stops at the smaller one
+    g = LaurentSeries(2, 1, {(0, (0, 0)): 1, (1, (1, 1)): -1})
+    h = f * g
+    assert h.qmax == 1 and max(n for n, _ in h.coeffs) == 1
+    assert h == reference_mul(f, g) == g * f
+    assert f.coeffs == copy  # operands are not mutated
+    assert g.coeffs == {(0, (0, 0)): 1, (1, (1, 1)): -1}
+    # no y-variables
+    e = LaurentSeries(0, 4, {(0, ()): 1, (1, ()): Fraction(-1, 2), (3, ()): 5})
+    assert e * e == reference_mul(e, e)
+    assert (e * e).coeff(2, ()) == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 31, 32, 33, 64, 200])
+def test_product_at_the_slot_bound(k):
+    # every coefficient is +-(2^k - 1) and the middle slots sum min(#f, #g)
+    # products of one sign, so the slot width is at its bound, in both signs
+    c = 2**k - 1
+    for length in (1, 2, 3, 4, 5):
+        f = LaurentSeries(1, 2, {(n, (2 * i - 1,)): c for n in (0, 1) for i in range(length)})
+        for sign in (1, -1):
+            g = LaurentSeries(1, 2, {(0, (1 - 2 * i,)): sign * c for i in range(length)})
+            assert f * g == reference_mul(f, g)
+            assert (f * g).coeff(0, (0,)) == sign * length * c * c
+        alt = LaurentSeries(1, 2, {(n, (2 * i,)): (-1) ** (i + n) * c
+                                   for n in (0, 1, 2) for i in range(length)})
+        assert f * alt == reference_mul(f, alt)
 
 
 @given(series_st(), series_st(), series_st())
