@@ -93,7 +93,7 @@ def _crit_dclas_oracle() -> tuple[bool, str]:
 
 
 def _crit_nu_orders() -> tuple[bool, str]:
-    table = cells.table_load(resolve_data("pi_S"))
+    table = cells.table_load("pi_S")
     bad = []
     for k in range(1, 49):
         got = cells.element_order(table, [(k, "nu")])
@@ -137,8 +137,8 @@ def _crit_dsu_easy() -> tuple[bool, str]:
 
 
 def _crit_tmf_mod_nu_pi5() -> tuple[bool, str]:
-    cplx = cells.complex_load(resolve_data("tmf_mod_nu"))
-    table = cells.table_load(resolve_data("pi_tmf"))
+    cplx = cells.complex_load("tmf_mod_nu")
+    table = cells.table_load("pi_tmf")
     got = cells.cofiber_homotopy(cplx, table, 5)
     if got.ambiguous:
         return False, f"pi_5 ambiguous: {got.describe()}"

@@ -28,6 +28,7 @@ from math import gcd, lcm
 
 from genera import _intlin
 from genera._data import resolve_data
+from genera.series import json_int
 from genera.values import INF, value_str
 
 
@@ -368,10 +369,10 @@ def complex_load(path: str) -> CellComplex:
     if not comps or not isinstance(comps, list) or not all(isinstance(c, dict) for c in comps):
         raise TableError("top cell needs an attaching class: {gen, mult} objects")
     try:
-        bottom, top = int(cb["deg"]), int(ct["deg"])
-        to = {int(c.get("to", 0)) for c in comps}
-        attach = tuple((int(c["mult"]), str(c["gen"])) for c in comps)
-    except (KeyError, TypeError, ValueError) as exc:
+        bottom, top = json_int("deg", cb["deg"]), json_int("deg", ct["deg"])
+        to = {json_int("to", c.get("to", 0)) for c in comps}
+        attach = tuple((json_int("mult", c["mult"]), str(c["gen"])) for c in comps)
+    except (KeyError, ValueError) as exc:
         raise TableError(f"malformed complex file {fpath}: {exc!r}") from None
     if to != {0}:
         raise TableError(f"top cell attaches to cell {max(to)}; only the bottom cell 0 exists")

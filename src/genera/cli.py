@@ -132,15 +132,15 @@ def _cmd_divis_verdict(args, out) -> int:
 
 
 def _cmd_cells_homotopy(args, out) -> int:
-    cplx = cells.complex_load(resolve_data(args.complex))
-    table = cells.table_load(resolve_data(args.table))
+    cplx = cells.complex_load(args.complex)
+    table = cells.table_load(args.table)
     group = cells.cofiber_homotopy(cplx, table, args.deg)
     _emit_json(group.to_obj(), out)
     return 0
 
 
 def _cmd_cells_order(args, out) -> int:
-    table = cells.table_load(resolve_data(args.table))
+    table = cells.table_load(args.table)
     spec = cells.parse_element_spec(args.element)
     order = cells.element_order(table, spec)
     _emit_json(

@@ -101,34 +101,12 @@ class DivReport:
         }
 
 
-def _report(kind, k, value, sources) -> DivReport:
-    vals = [v for _m, v in sources]
-    return DivReport(kind, k, value, tuple(sources), all(v == vals[0] for v in vals))
-
-
 def d_clas_report(k: int) -> DivReport:
     closed = d_clas(k)
     g = jacobi.dclas_gcd_via_basis(k)
     basis = INF if g is None else g
-    return _report("clas", k, closed,
-                   [("closed_form", closed), ("basis_gcd", basis)])
-
-
-def d_su_report(k: int) -> DivReport:
-    """Exact table value, with the easy estimate as a second source.
-
-    The sources disagree by design (factor 2) when k = 2 (mod 8), k >= 10.
-    """
-    exact = d_su(k)
-    return _report("su", k, exact,
-                   [("exact_table", exact), ("easy_estimate", d_su_easy_closed(k))])
-
-
-def d_sp_report(k: int) -> DivReport:
-    closed = d_sp(k)
-    from genera import cells  # deferred import: pulls in the bundled table files
-    order = cells.element_order(cells.table_load("pi_S"), [(k, "nu")])
-    return _report("sp", k, closed, [("closed_form", closed), ("cells_order", order)])
+    return DivReport("clas", k, closed, (("closed_form", closed), ("basis_gcd", basis)),
+                     closed == basis)
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,10 @@ values at z = 0:
     phi02        0        4      6
     phi04        0        8      3
 
-phi02 and phi04 are produced by exact divisions (by 24 and 4) that must leave
+a, phi032 and the three theta quotients of phi01 are each one finite
+theta-type sum in y divided by a pure q-series sum (`_theta_quotient`); no
+infinite product is expanded and no y-dependent series is inverted. phi02
+and phi04 are produced by exact divisions (by 24 and 4) that must leave
 integral series; the constructors assert that.
 """
 
@@ -122,56 +125,54 @@ def _lift(s: LaurentSeries, nvars: int) -> LaurentSeries:
 # generators
 
 
-def _product_side(qmax: int, t: int) -> LaurentSeries:
-    """prod_{m>=1} (1 - q^m y^t)(1 - q^m y^-t), truncated at q^qmax.
+def _theta_quotient(num: dict, den: LaurentSeries) -> LaurentSeries:
+    """A finite theta-type sum in one y-variable over a pure q-series.
 
-    Each pair enters expanded, as 1 - q^m (y^t + y^-t) + q^2m: one product per m.
+    num maps keys (n, (R,)) to coefficients, and keys above den.qmax are
+    dropped; den has no y-variables and a nonzero constant term, so only
+    the pure q-series recurrence of LaurentSeries.inverse is needed.
     """
-    out = LaurentSeries.one(1, qmax)
-    for m in range(1, qmax + 1):
-        out = out * LaurentSeries(1, qmax, {(0, (0,)): 1, (m, (2 * t,)): -1,
-                                            (m, (-2 * t,)): -1, (2 * m, (0,)): 1})
-    return out
-
-
-def _euler_factor_sq_inv(qmax: int) -> LaurentSeries:
-    """[prod_{m>=1} (1 - q^m)^2]^{-1} as a 1-variable series (no y-support).
-
-    Each square enters expanded, as 1 - 2 q^m + q^2m: one product per m.
-    """
-    prod = LaurentSeries.one(1, qmax)
-    for m in range(1, qmax + 1):
-        prod = prod * LaurentSeries(1, qmax, {(0, (0,)): 1, (m, (0,)): -2, (2 * m, (0,)): 1})
-    return prod.inverse()
+    return LaurentSeries(1, den.qmax, num) * _lift(den.inverse(), 1)
 
 
 @lru_cache(maxsize=None)
 def generator_a(qmax: int) -> JacobiForm:
     """The odd generator of weight -2 and doubled index 1.
 
-    a = (y^{1/2} - y^{-1/2}) prod_{m>=1} (1-q^m y)(1-q^m y^{-1}) / (1-q^m)^2.
+    a = (y^{1/2} - y^{-1/2}) prod_{m>=1} (1-q^m y)(1-q^m y^{-1}) / (1-q^m)^2
+    is theta_1(z)/eta^3. The Jacobi triple product turns the numerator into a
+    single sum and Jacobi's identity does the same for eta^3:
+
+        a = sum_{n in Z} (-1)^n q^{n(n+1)/2} y^{(2n+1)/2}
+            / sum_{n>=0} (-1)^n (2n+1) q^{n(n+1)/2}.
+
     Vanishes at z = 0; a(-z) = -a(z).
     """
-    pref = (LaurentSeries.monomial(1, qmax, 0, (1,))
-            - LaurentSeries.monomial(1, qmax, 0, (-1,)))
-    s = pref * _product_side(qmax, 1) * _euler_factor_sq_inv(qmax)
-    return JacobiForm(-2, 1, s.as_integral())
+    N = math.isqrt(2 * qmax) + 1
+    num = {(n * (n + 1) // 2, (2 * n + 1,)): -1 if n % 2 else 1 for n in range(-N, N + 1)}
+    return JacobiForm(-2, 1, _theta_quotient(num, modular.eta3_sum(qmax)).as_integral())
+
+
+# chi_12, the character of n mod 12 in the quintuple-product sum
+_CHI12 = {1: 1, 11: 1, 5: -1, 7: -1}
 
 
 @lru_cache(maxsize=None)
 def _phi032(qmax: int) -> JacobiForm:
-    """a(2z)/a(z), computed without ring division.
+    """a(2z)/a(z) = theta_1(2z)/theta_1(z): weight 0, doubled index 3, ev = 2.
 
-    Both numerator and denominator share the (1-q^m)^-2 factor, and the
-    zero-set prefactors divide in closed form:
-    (y - y^{-1})/(y^{1/2} - y^{-1/2}) = y^{1/2} + y^{-1/2}. What remains is
-    the quotient of two infinite products whose q^0 layer is 1, so only a
-    unit inversion is needed. Weight 0, doubled index 3, ev = 2.
+    The quintuple product makes it a single sum over eta / q^{1/24}, which is
+    Euler's pentagonal sum (V. Gritsenko, arXiv:math/9906190):
+
+        phi032 = sum_{n in Z} chi_12(n) q^{(n^2-1)/24} y^{n/2}
+                 / sum_{k in Z} (-1)^k q^{k(3k-1)/2}.
     """
-    pref = (LaurentSeries.monomial(1, qmax, 0, (1,))
-            + LaurentSeries.monomial(1, qmax, 0, (-1,)))
-    s = pref * _product_side(qmax, 2) * _product_side(qmax, 1).inverse()
-    return JacobiForm(0, 3, s.as_integral())
+    N = math.isqrt(24 * qmax + 1)
+    num = {((n * n - 1) // 24, (n,)): _CHI12[n % 12]
+           for n in range(-N, N + 1) if n % 12 in _CHI12}
+    K = math.isqrt(qmax) + 1
+    den = {(k * (3 * k - 1) // 2, ()): -1 if k % 2 else 1 for k in range(-K, K + 1)}
+    return JacobiForm(0, 3, _theta_quotient(num, LaurentSeries(0, qmax, den)).as_integral())
 
 
 def _theta2_quotient(qmax: int) -> LaurentSeries:
@@ -192,9 +193,8 @@ def _theta2_quotient(qmax: int) -> LaurentSeries:
                 continue
             key = (e, (2 * (n + m + 1),))
             num[key] = num.get(key, 0) + 1
-            dkey = (e, (0,))
-            den[dkey] = den.get(dkey, 0) + 1
-    return LaurentSeries(1, qmax, num) * LaurentSeries(1, qmax, den).inverse()
+            den[(e, ())] = den.get((e, ()), 0) + 1
+    return _theta_quotient(num, LaurentSeries(0, qmax, den))
 
 
 def _theta34_quotients(qmax: int) -> LaurentSeries:
@@ -220,11 +220,10 @@ def _theta34_quotients(qmax: int) -> LaurentSeries:
             key = (e, (2 * (n + m),))
             b[key] = b.get(key, 0) + 1
             c[key] = c.get(key, 0) + sgn
-            b0[(e, (0,))] = b0.get((e, (0,)), 0) + 1
-            c0[(e, (0,))] = c0.get((e, (0,)), 0) + sgn
-    B = LaurentSeries(1, Qmax, b) * LaurentSeries(1, Qmax, b0).inverse()
-    C = LaurentSeries(1, Qmax, c) * LaurentSeries(1, Qmax, c0).inverse()
-    S = B + C
+            b0[(e, ())] = b0.get((e, ()), 0) + 1
+            c0[(e, ())] = c0.get((e, ()), 0) + sgn
+    S = (_theta_quotient(b, LaurentSeries(0, Qmax, b0))
+         + _theta_quotient(c, LaurentSeries(0, Qmax, c0)))
     out: dict = {}
     for (e, R), coeff in S.coeffs.items():
         if e % 2 != 0:

@@ -12,6 +12,7 @@ True
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,12 +87,18 @@ def e6(qmax: int) -> QExpansion:
     return QExpansion(12, LaurentSeries(0, qmax, coeffs))
 
 
+def eta3_sum(qmax: int) -> LaurentSeries:
+    """prod_{m>=1} (1 - q^m)^3 = eta^3 / q^{1/8}, as Jacobi's single sum
+
+        sum_{n>=0} (-1)^n (2n+1) q^{n(n+1)/2}.
+    """
+    return LaurentSeries(0, qmax, {(n * (n + 1) // 2, ()): (-1) ** n * (2 * n + 1)
+                                   for n in range(math.isqrt(2 * qmax) + 1)})
+
+
 def delta(qmax: int) -> QExpansion:
-    """The discriminant form q * prod_{m>=1} (1 - q^m)^24, weight 12."""
-    prod = LaurentSeries.one(0, qmax)
-    for m in range(1, qmax + 1):
-        prod = prod * (LaurentSeries.one(0, qmax) - LaurentSeries.monomial(0, qmax, m, ()))
-    return QExpansion(24, LaurentSeries.monomial(0, qmax, 1, ()) * prod ** 24)
+    """The discriminant form q * prod_{m>=1} (1 - q^m)^24 = q * eta3_sum^8, weight 12."""
+    return QExpansion(24, LaurentSeries.monomial(0, qmax, 1, ()) * eta3_sum(qmax) ** 8)
 
 
 def verify_ring_relation(qmax: int) -> bool:

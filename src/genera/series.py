@@ -320,29 +320,24 @@ class LaurentSeries:
         return result
 
     def inverse(self) -> "LaurentSeries":
-        """Multiplicative inverse, when the q^0 layer is a single monomial.
+        """Multiplicative inverse of a pure q-series (every y-exponent 0).
 
-        The leading layer c * y^(R0/2) must consist of exactly one term with
-        c != 0; the inverse is then c^{-1} y^{-R0/2} * sum_j u^j where
-        u = 1 - c^{-1} y^{-R0/2} * self has positive q-order.
+        With c_k the coefficient of q^k and c_0 != 0, the inverse is the
+        recurrence out_0 = 1/c_0, out_n = -(sum_{k=1..n} c_k out_{n-k}) / c_0.
+        Raises ValueError on y-dependent input or when c_0 == 0.
         """
-        lead = self.q_layer(0)
-        if len(lead) != 1:
-            raise ValueError(
-                f"not invertible here: q^0 layer has {len(lead)} terms, need exactly 1")
-        (R0, c0), = lead.items()
-        lead_inv = LaurentSeries.monomial(self.nvars, self.qmax, 0,
-                                          tuple(-r for r in R0), Fraction(1, 1) / c0)
-        u = LaurentSeries.one(self.nvars, self.qmax) - lead_inv * self
-        # u has q-order >= 1, so the geometric series terminates at qmax.
-        acc = LaurentSeries.one(self.nvars, self.qmax)
-        upow = u
-        for _ in range(self.qmax):
-            if upow.is_zero:
-                break
-            acc = acc + upow
-            upow = upow * u
-        return acc * lead_inv
+        if any(any(R) for _n, R in self.coeffs):
+            raise ValueError("inverse needs a pure q-series: every y-exponent must be 0")
+        zero = (0,) * self.nvars
+        c0 = self.coeff(0, zero)
+        if c0 == 0:
+            raise ValueError("not invertible: the q^0 coefficient is 0")
+        tail = [(n, c) for (n, _R), c in self.coeffs.items() if n > 0]
+        out = [1 / c0]
+        for n in range(1, self.qmax + 1):
+            out.append(-sum(c * out[n - k] for k, c in tail if k <= n) / c0)
+        return LaurentSeries(self.nvars, self.qmax,
+                             {(n, zero): c for n, c in enumerate(out)})
 
     # ------------------------------------------------------------------
     # substitutions and reshaping

@@ -311,6 +311,7 @@ def test_tjf2_matches_intro_claim(pi_tmf):
 
 
 NU = {"gen": "nu", "mult": 1}
+ETA = {"gen": "eta", "mult": 1}
 
 # malformed complex files, each with a fragment of the expected message
 BAD_COMPLEXES = {
@@ -328,6 +329,12 @@ BAD_COMPLEXES = {
     "not-an-object": ([1, 2], "list of cell objects"),
     "cells-not-a-list": ({"cells": {"deg": 0}}, "list of cell objects"),
     "no-degree": ({"cells": [{}, {"deg": 4, "attach": NU}]}, "malformed"),
+    "float-deg": ({"cells": [{"deg": 0}, {"deg": 2.9, "attach": ETA}]},
+                  "deg must be a JSON integer"),
+    "string-mult": ({"cells": [{"deg": 0}, {"deg": 2, "attach": dict(ETA, mult="1")}]},
+                    "mult must be a JSON integer"),
+    "string-to": ({"cells": [{"deg": 0}, {"deg": 4, "attach": dict(NU, to="0")}]},
+                  "to must be a JSON integer"),
 }
 
 

@@ -239,7 +239,9 @@ def test_cells_homotopy_needs_two_cells(tmp_path, capsys):
     {"cells": [{"deg": 4}, {"deg": 2, "attach": {"gen": "nu", "mult": 1}}]},
     {"cells": [{"deg": 0, "attach": {"gen": "nu", "mult": 1}}, {"deg": 4}]},
     {"cells": [{"deg": 0}, {"deg": 4}]},
-], ids=["not-an-object", "one-cell", "to-1", "top-below", "bottom-attach", "no-attach"])
+    {"cells": [{"deg": 0}, {"deg": 2.9, "attach": {"gen": "eta", "mult": "1"}}]},
+], ids=["not-an-object", "one-cell", "to-1", "top-below", "bottom-attach", "no-attach",
+        "float-deg-string-mult"])
 def test_cells_homotopy_rejects_malformed_complex(tmp_path, capsys, obj):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(obj))

@@ -73,6 +73,65 @@ def test_ev_of_a_vanishes():
     assert all(ev.coeff(n) == 0 for n in range(7))
 
 
+# ---------------------------------------------------------------- references
+# The infinite-product formulas for a and phi032, kept as the reference for
+# the theta-sum constructions in genera.jacobi.
+
+
+def _product_side(qmax, t):
+    """prod_{m>=1} (1 - q^m y^t)(1 - q^m y^-t), truncated at q^qmax."""
+    out = LaurentSeries.one(1, qmax)
+    for m in range(1, qmax + 1):
+        out = out * LaurentSeries(1, qmax, {(0, (0,)): 1, (m, (2 * t,)): -1,
+                                            (m, (-2 * t,)): -1, (2 * m, (0,)): 1})
+    return out
+
+
+def _euler_factor_sq_inv(qmax):
+    """[prod_{m>=1} (1 - q^m)^2]^{-1}, with no y-support."""
+    prod = LaurentSeries.one(1, qmax)
+    for m in range(1, qmax + 1):
+        prod = prod * LaurentSeries(1, qmax, {(0, (0,)): 1, (m, (0,)): -2, (2 * m, (0,)): 1})
+    return prod.inverse()
+
+
+def _half_monomials(qmax, sign):
+    """y^{1/2} + sign * y^{-1/2}."""
+    return (LaurentSeries.monomial(1, qmax, 0, (1,))
+            + sign * LaurentSeries.monomial(1, qmax, 0, (-1,)))
+
+
+def _a_at(m, qmax):
+    """a(mz): every doubled y-exponent R of a replaced by m * R."""
+    a = jacobi.generator("a", qmax).series
+    return LaurentSeries(1, qmax, {(n, (m * R,)): c for (n, (R,)), c in a.coeffs.items()})
+
+
+REFERENCE_QMAX = 20
+
+
+def test_a_matches_product_formula():
+    q = REFERENCE_QMAX
+    want = _half_monomials(q, -1) * _product_side(q, 1) * _euler_factor_sq_inv(q)
+    assert jacobi.generator("a", q).series == want
+
+
+def test_phi032_matches_product_formula():
+    # phi032 = (y^{1/2} + y^{-1/2}) P_2 / P_1 with P_t = _product_side(q, t);
+    # P_1 is a unit with q^0 layer 1, so compare after multiplying it back.
+    q = REFERENCE_QMAX
+    lhs = jacobi.generator("phi032", q).series * _product_side(q, 1)
+    assert lhs == _half_monomials(q, 1) * _product_side(q, 2)
+
+
+@pytest.mark.parametrize("name, m", [("phi032", 2), ("phi04", 3)])
+def test_theta_multiplication_oracle(name, m):
+    # phi032 = a(2z)/a(z) and phi04 = a(3z)/a(z)
+    q = REFERENCE_QMAX
+    a = jacobi.generator("a", q)
+    assert (jacobi.generator(name, q) * a).series == _a_at(m, q)
+
+
 def test_ring_relation():
     p1, p32, p2, p4 = (jacobi.generator(n, 8) for n in ("phi01", "phi032", "phi02", "phi04"))
     assert (4 * p4).series == (p1 * p32 * p32 - p2 * p2).series

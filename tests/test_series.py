@@ -139,17 +139,23 @@ def test_pow_matches_repeated_product(f):
 
 
 @given(
+    st.integers(0, 2),
     st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
-    st.integers(min_value=-3, max_value=3),
-    series_st(),
+    st.lists(coeff_st, max_size=8),
 )
-def test_inverse(c0, r0, tail):
-    # unit = monomial leading layer plus a strictly positive q-order tail
-    shifted = LaurentSeries(
-        1, QMAX, {(n + 1, R): c for (n, R), c in tail.coeffs.items() if n + 1 <= QMAX}
-    )
-    f = LaurentSeries.monomial(1, QMAX, 0, (r0,), c0) + shifted
-    assert f * f.inverse() == LaurentSeries.one(1, QMAX)
+def test_inverse(nvars, c0, tail):
+    # a pure q-series (every y-exponent 0) with a nonzero constant term
+    zero = (0,) * nvars
+    f = LaurentSeries(nvars, 8, {(n, zero): c for n, c in enumerate([c0, *tail])})
+    assert f * f.inverse() == LaurentSeries.one(nvars, 8)
+
+
+def test_inverse_rejects_non_units():
+    y_dependent = LaurentSeries(1, QMAX, {(0, (0,)): 1, (1, (2,)): 1})
+    no_constant = LaurentSeries(2, QMAX, {(1, (0, 0)): 1, (2, (0, 0)): Fraction(1, 2)})
+    for f in (y_dependent, no_constant, LaurentSeries.zero(0, QMAX)):
+        with pytest.raises(ValueError):
+            f.inverse()
 
 
 def test_inverse_rejects_fat_leading_layer():
