@@ -17,14 +17,18 @@ over the same presentations.
 Bundled data files ship the stable stems in the range 0..7, the connective
 tmf pattern in 0..8 and the two-cell complexes tmf_mod_nu, tmf_mod_eta,
 tjf_2 and tejf_2.  GENERA_DATA_DIR overrides the bundled directory.
+Each distinct table file content is parsed and audited once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 from math import gcd, lcm
+from types import MappingProxyType
 
 from genera import _intlin
 from genera._data import resolve_data
@@ -67,7 +71,7 @@ class GradedTable:
     hi: int
     connective: bool
     groups: tuple[tuple[Gen, ...], ...]
-    action: dict
+    action: Mapping  # read-only: (gen name, gen name) -> Element
 
     def gens(self, degree: int) -> tuple[Gen, ...]:
         if self.lo <= degree <= self.hi:
@@ -174,10 +178,21 @@ def table_load(path: str) -> GradedTable:
     kills the product), graded commutativity where both orders of a pair are
     declared, and associativity on every triple of generators whose products
     all resolve.
+
+    The file is read on every call, but a given (resolved path, content) is
+    parsed and audited once per process; repeated loads share one read-only
+    table.  Keying on the content, not the mtime, reloads a file rewritten
+    within one timestamp tick.
     """
     fpath = resolve_data(path)
     with open(fpath) as fh:
-        raw = json.load(fh)
+        text = fh.read()
+    return _table_from_text(fpath, text)
+
+
+@functools.lru_cache(maxsize=32)
+def _table_from_text(fpath: str, text: str) -> GradedTable:
+    raw = json.loads(text)
     try:
         name = raw["name"]
         window = raw["window"]
@@ -188,7 +203,9 @@ def table_load(path: str) -> GradedTable:
     if not isinstance(window, list) or len(window) != 2 or any(type(w) is not int for w in window):
         raise TableError(f"table {name}: window must be two JSON integers, got {window!r}")
     lo, hi = window
-    connective = bool(raw.get("connective", False))
+    connective = raw.get("connective", False)
+    if type(connective) is not bool:
+        raise TableError(f"table {name}: connective must be a JSON boolean, got {connective!r}")
     if lo > hi:
         raise TableError(f"empty window [{lo}, {hi}]")
 
@@ -218,7 +235,8 @@ def table_load(path: str) -> GradedTable:
     if extra:
         raise TableError(f"table {name}: degrees {sorted(extra)} outside window")
 
-    table = GradedTable(name, lo, hi, connective, tuple(groups), {})
+    action: dict = {}
+    table = GradedTable(name, lo, hi, connective, tuple(groups), MappingProxyType(action))
 
     for entry in action_raw:
         if not isinstance(entry, list) or len(entry) != 3:
@@ -236,9 +254,9 @@ def table_load(path: str) -> GradedTable:
                     f"product {gname}*{hname} declared in degree {r.degree}, expected {target}"
                 )
             vec[r.index] += m
-        if (gname, hname) in table.action:
+        if (gname, hname) in action:
             raise TableError(f"duplicate action entry {gname}*{hname}")
-        table.action[(gname, hname)] = table.norm(target, vec)
+        action[(gname, hname)] = table.norm(target, vec)
 
     _audit(table)
     return table

@@ -368,14 +368,13 @@ def weight0_monomials(index2: int) -> list[tuple[int, int, int, int]]:
 def dclas_gcd_via_basis(k: int):
     """gcd of z=0 values over the weight-0 doubled-index-k monomial basis.
 
+    The value 12^e1 2^e2 6^e3 3^e4 is 2^(2e1+e2+e3) 3^(e1+e3+e4), so the gcd
+    is 2 and 3 raised to the least of those exponents over the basis.
     Returns None (no constraint, the space is 0) when no monomial exists,
     which happens exactly at k = 1.
     """
     monos = weight0_monomials(k)
     if not monos:
         return None
-    g = 0
-    for (e1, e2, e3, e4_) in monos:
-        val = 12 ** e1 * 2 ** e2 * 6 ** e3 * 3 ** e4_
-        g = math.gcd(g, val)
-    return g
+    return (2 ** min(2 * e1 + e2 + e3 for e1, e2, e3, _e4 in monos)
+            * 3 ** min(e1 + e3 + e4 for e1, _e2, e3, e4 in monos))

@@ -7,6 +7,7 @@ import pathlib
 import pytest
 
 from genera import cells, genus
+from genera._data import resolve_data
 from genera.values import INF
 
 
@@ -164,9 +165,56 @@ def test_audit_missing_degree(tmp_path):
         bad["groups"]["1"] = entry
         with pytest.raises(cells.TableError):
             cells.table_load(_write(tmp_path, bad))
-    for raw in ([1, 2], toy_table(groups=[])):
+    # not an object, groups not an object, connective not a JSON boolean
+    for raw in ([1, 2], toy_table(groups=[]), toy_table(connective="false"),
+                toy_table(connective=0), toy_table(connective=None)):
         with pytest.raises(cells.TableError):
             cells.table_load(_write(tmp_path, raw))
+
+
+# ---------------------------------------------------------------- table cache
+
+
+def test_loaded_table_is_read_only(pi_s):
+    with pytest.raises(TypeError):
+        pi_s.action[("one", "one")] = pi_s.unit("one")
+
+
+def test_repeated_loads_share_one_table(tmp_path):
+    assert cells.table_load("pi_S") is cells.table_load("pi_S")
+    assert cells.table_load(resolve_data("pi_S")) is cells.table_load("pi_S")
+    path = _write(tmp_path, toy_table())
+    assert cells.table_load(path) is cells.table_load(path)
+
+
+def test_dsu_easy_audits_pi_tmf_once(monkeypatch):
+    audited = []
+    real_audit = cells._audit
+
+    def counting_audit(table):
+        audited.append(table.name)
+        real_audit(table)
+
+    monkeypatch.setattr(cells, "_audit", counting_audit)
+    cells._table_from_text.cache_clear()
+    for k in range(1, 25):
+        cells.dsu_easy(k)
+    assert audited == ["pi_tmf"]
+
+
+def test_rewritten_table_is_reloaded(tmp_path):
+    # same path, same size, rewritten at once: the mtime may not move, the bytes do
+    path = _write(tmp_path, toy_table(name="toy1"))
+    assert cells.table_load(path).name == "toy1"
+    _write(tmp_path, toy_table(name="toy2"))
+    assert cells.table_load(path).name == "toy2"
+
+
+def test_malformed_table_raises_every_time(tmp_path):
+    path = _write(tmp_path, toy_table(window=[2, 0]))
+    for _ in range(2):
+        with pytest.raises(cells.TableError, match="empty window"):
+            cells.table_load(path)
 
 
 # ---------------------------------------------------------------- elements

@@ -262,10 +262,14 @@ def test_cells_malformed_table_is_a_usage_error(tmp_path, capsys):
         ([0, 0], one, [["one", "one", {"gen": "one", "mult": "1"}]]),
         ([0, 0], one, [["one", "one", [5]]]),  # list items: names or objects
     ]
-    for i, (window, groups, action) in enumerate(cases):
+    raws = [{"name": "bad", "window": window, "groups": groups, "action": action}
+            for window, groups, action in cases]
+    # connective takes a JSON boolean only
+    raws.append({"name": "bad", "window": [0, 0], "connective": "false",
+                 "groups": one, "action": []})
+    for i, raw in enumerate(raws):
         f = tmp_path / f"table{i}.json"
-        f.write_text(json.dumps({"name": "bad", "window": window,
-                                 "groups": groups, "action": action}))
+        f.write_text(json.dumps(raw))
         rc, out, err = run(capsys, "cells", "order", "--table", str(f),
                            "--element", "one")
         assert rc == 2 and out == ""

@@ -1,6 +1,7 @@
 """Generator expansions, the elliptic transformation law, and the z=0 story."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -209,6 +210,22 @@ def test_weight0_monomials_enumeration():
 def test_dclas_gcd_via_basis_frozen():
     want = [None, 12, 2, 6, 24, 4, 12, 3, 8, 12, 6, 2]
     assert [jacobi.dclas_gcd_via_basis(k) for k in range(1, 13)] == want
+
+
+def reference_dclas_gcd(k):
+    """gcd of the big-integer monomial values 12^e1 2^e2 6^e3 3^e4."""
+    monos = jacobi.weight0_monomials(k)
+    if not monos:
+        return None
+    g = 0
+    for (e1, e2, e3, e4) in monos:
+        g = math.gcd(g, 12 ** e1 * 2 ** e2 * 6 ** e3 * 3 ** e4)
+    return g
+
+
+def test_dclas_gcd_via_basis_matches_big_int_gcd():
+    for k in range(1, 201):
+        assert jacobi.dclas_gcd_via_basis(k) == reference_dclas_gcd(k), k
 
 
 def test_serialization_roundtrip():
