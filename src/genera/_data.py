@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import os
-from importlib import resources
+
+_PACKAGE_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def resolve_data(name: str) -> str:
@@ -23,7 +24,7 @@ def resolve_data(name: str) -> str:
         cand = os.path.join(override, fname)
         if os.path.exists(cand):
             return cand
-    pkg_file = resources.files("genera").joinpath("data", fname)
-    if pkg_file.is_file():
-        return str(pkg_file)
+    cand = os.path.join(_PACKAGE_DATA, fname)
+    if os.path.isfile(cand):
+        return cand
     raise FileNotFoundError(f"unknown bundled data name: {name!r}")

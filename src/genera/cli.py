@@ -7,26 +7,48 @@ integers and exact rationals survive any downstream parser.
 
 Exit codes: 0 on success, 1 when a verification-style command finds a
 failure, 2 on usage or file errors.
+
+Every command runs in a fresh process, and on most requests the import is
+dearer than the arithmetic, so each command imports only the code it runs:
+this module loads jacobi (for the parser's generator names) and nothing
+else of the library, and every handler imports its own layer. The records
+that jf and genus commands build (JacobiForm, EllipticLawReport,
+QExpansion, ChernData) are genera.values.Record classes, not dataclasses:
+importing dataclasses pulls in inspect, ast, dis and tokenize and costs
+about 6 ms, plus about 0.6 ms per decorated class, on a 2-CPU host where the
+whole `jf gen` request takes about 70 ms. Modules that only their own
+commands load (cells, divis, hodge, acceptance) keep @dataclass.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from fractions import Fraction
 
-from genera import acceptance, cells, divis, genus, hodge, jacobi
+from genera import jacobi
 from genera._data import resolve_data
 from genera.values import value_str
+
+# Largest --qmax that jf gen and genus compute accept. In a fresh process on
+# a 2-CPU host, jf gen phi04 takes about 1.3 s at qmax 100 and 3.6 s at 150;
+# genus compute on k3 takes about 0.6 s at qmax 100.
+QMAX_CAP = 100
 
 
 def _nonneg(text: str) -> int:
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError("must be >= 0")
+    return n
+
+
+def _qmax(text: str) -> int:
+    n = _nonneg(text)
+    if n > QMAX_CAP:
+        raise argparse.ArgumentTypeError(f"must be <= {QMAX_CAP}")
     return n
 
 
@@ -62,6 +84,8 @@ def _print_rows(rows, fmt: str, stream) -> None:
         return
     header = list(rows[0].keys()) if rows else []
     if fmt == "csv":
+        import csv
+
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -102,6 +126,8 @@ def _cmd_jf_check(args, out) -> int:
 
 
 def _cmd_genus_compute(args, out) -> int:
+    from genera import genus
+
     m = genus.ChernData.load(resolve_data(args.chern))
     f = genus.elliptic_genus(m, nvars=args.nvars, qmax=args.qmax)
     _emit_json(f.to_obj(), out)
@@ -109,29 +135,39 @@ def _cmd_genus_compute(args, out) -> int:
 
 
 def _cmd_genus_euler(args, out) -> int:
+    from genera import genus
+
     m = genus.ChernData.load(resolve_data(args.chern))
     out.write(f"{genus.euler_number(m)}\n")
     return 0
 
 
 def _cmd_divis_table(args, out) -> int:
+    from genera import divis
+
     _print_rows(divis.table_rows(args.kmax), args.format, out)
     return 0
 
 
 def _cmd_divis_verify_clas(args, out) -> int:
+    from genera import divis
+
     rows = divis.verify_clas_rows(args.kmax)
     _print_rows(rows, args.format, out)
     return 0 if all(row["agree"] == "yes" for row in rows) else 1
 
 
 def _cmd_divis_verdict(args, out) -> int:
+    from genera import divis
+
     v = divis.euler_verdict(args.structure, args.k, args.euler)
     _emit_json(v.to_obj(), out)
     return 0 if v.ok else 1
 
 
 def _cmd_cells_homotopy(args, out) -> int:
+    from genera import cells
+
     cplx = cells.complex_load(args.complex)
     table = cells.table_load(args.table)
     group = cells.cofiber_homotopy(cplx, table, args.deg)
@@ -140,6 +176,8 @@ def _cmd_cells_homotopy(args, out) -> int:
 
 
 def _cmd_cells_order(args, out) -> int:
+    from genera import cells
+
     table = cells.table_load(args.table)
     spec = cells.parse_element_spec(args.element)
     order = cells.element_order(table, spec)
@@ -151,6 +189,8 @@ def _cmd_cells_order(args, out) -> int:
 
 
 def _cmd_cells_dsu_easy(args, out) -> int:
+    from genera import cells, divis
+
     rows = []
     for k in range(1, args.kmax + 1):
         engine = cells.dsu_easy(k)
@@ -168,6 +208,8 @@ def _cmd_cells_dsu_easy(args, out) -> int:
 
 
 def _cmd_hk_solve(args, out) -> int:
+    from genera import hodge
+
     system = hodge.hk_match(args.k)
     relations = [f"{eq.normalized()} = 0" for eq in system.equations]
     if args.k == 2:
@@ -190,6 +232,8 @@ def _cmd_hk_solve(args, out) -> int:
 
 
 def _cmd_selftest(args, out) -> int:
+    from genera import acceptance
+
     return 0 if acceptance.run_all(out) else 1
 
 
@@ -219,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     jfsub = jf.add_subparsers(dest="subcommand", required=True)
     gen = jfsub.add_parser("gen", help="print a ring generator as JSON")
     gen.add_argument("name", choices=jacobi.GENERATOR_NAMES)
-    gen.add_argument("--qmax", type=_nonneg, default=10)
+    gen.add_argument("--qmax", type=_qmax, default=10,
+                     help=f"highest q-power kept, 0..{QMAX_CAP} (default 10)")
     gen.set_defaults(func=_cmd_jf_gen)
     chk = jfsub.add_parser("check", help="verify the elliptic transformation law")
     chk.add_argument("file", help="JSON file as written by 'jf gen' or 'genus compute'")
@@ -231,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     comp = gnsub.add_parser("compute", help="print the genus as JSON")
     comp.add_argument("--chern", required=True, help="Chern-number file or fixture name")
     comp.add_argument("--nvars", type=_positive, default=1)
-    comp.add_argument("--qmax", type=_nonneg, default=10)
+    comp.add_argument("--qmax", type=_qmax, default=10,
+                      help=f"highest q-power kept, 0..{QMAX_CAP} (default 10)")
     comp.set_defaults(func=_cmd_genus_compute)
     eul = gnsub.add_parser("euler", help="print the Euler number")
     eul.add_argument("--chern", required=True, help="Chern-number file or fixture name")

@@ -39,7 +39,6 @@ statement that the genus of a k-fold has index k/2).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
@@ -49,6 +48,7 @@ from operator import mul
 from genera.jacobi import JacobiForm, generator_a
 from genera.modular import sigma
 from genera.series import LaurentSeries
+from genera.values import Record
 
 
 class ChernDataError(ValueError):
@@ -87,26 +87,24 @@ def _json_int(what: str, value) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(Record):
     """Chern numbers of a (stably almost) complex manifold.
 
     numbers maps partitions of dimc (descending tuples) to integers; the
     entry for (l1, ..., lr) is the integral of c_{l1} ... c_{lr}.
     """
-    label: str
-    dimc: int
-    numbers: dict
+    __slots__ = ("label", "dimc", "numbers")
 
-    def __post_init__(self):
-        if self.dimc < 0:
+    def __init__(self, label: str, dimc: int, numbers: dict):
+        if dimc < 0:
             raise ChernDataError("dimc must be >= 0")
-        for parts, val in self.numbers.items():
-            if sum(parts) != self.dimc:
+        for parts, val in numbers.items():
+            if sum(parts) != dimc:
                 raise ChernDataError(
-                    f"{self.label}: partition {parts} does not sum to dimc={self.dimc}")
+                    f"{label}: partition {parts} does not sum to dimc={dimc}")
             if not isinstance(val, int):
-                raise ChernDataError(f"{self.label}: number for {parts} is not an integer")
+                raise ChernDataError(f"{label}: number for {parts} is not an integer")
+        super().__init__(label, dimc, numbers)
 
     def number(self, parts: tuple[int, ...]) -> int:
         if parts not in self.numbers:

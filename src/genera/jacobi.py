@@ -25,12 +25,12 @@ integral series; the constructors assert that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from genera import modular
 from genera.series import LaurentSeries, json_int, require_keys
+from genera.values import Record
 
 GENERATOR_NAMES = ("a", "phi01", "phi032", "phi02", "phi04")
 
@@ -39,21 +39,19 @@ GENERATOR_NAMES = ("a", "phi01", "phi032", "phi02", "phi04")
 EV_CONSTANTS = {"phi01": 12, "phi032": 2, "phi02": 6, "phi04": 3}
 
 
-@dataclass(frozen=True)
-class JacobiForm:
+class JacobiForm(Record):
     """A (truncated) weak Jacobi form: graded series plus (weight2, index2)."""
-    weight2: int
-    index2: int
-    series: LaurentSeries
+    __slots__ = ("weight2", "index2", "series")
 
-    def __post_init__(self):
-        if self.series.nvars < 1:
+    def __init__(self, weight2: int, index2: int, series: LaurentSeries):
+        if series.nvars < 1:
             raise ValueError("a Jacobi form needs at least one elliptic variable")
-        for (n, R) in self.series.coeffs:
+        for (n, R) in series.coeffs:
             for r in R:
-                if (r - self.index2) % 2 != 0:
+                if (r - index2) % 2 != 0:
                     raise ValueError(
                         f"support parity broken at {(n, R)}: R != index2 (mod 2)")
+        super().__init__(weight2, index2, series)
 
     @property
     def nvars(self) -> int:
@@ -280,12 +278,11 @@ def ev_z0(f: JacobiForm) -> modular.QExpansion:
     return modular.QExpansion(f.weight2, f.series.collapse_y())
 
 
-@dataclass(frozen=True)
-class EllipticLawReport:
-    lam: int
-    pairs_checked: int
-    violations: tuple
-    vacuous: bool
+class EllipticLawReport(Record):
+    __slots__ = ("lam", "pairs_checked", "violations", "vacuous")
+
+    def __init__(self, lam: int, pairs_checked: int, violations: tuple, vacuous: bool):
+        super().__init__(lam, pairs_checked, violations, vacuous)
 
     @property
     def ok(self) -> bool:

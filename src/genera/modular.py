@@ -13,10 +13,10 @@ True
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from genera.series import LaurentSeries
+from genera.values import Record
 
 
 def sigma(k: int, n: int) -> int:
@@ -28,15 +28,14 @@ def sigma(k: int, n: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class QExpansion:
+class QExpansion(Record):
     """A q-expansion with a (doubled) modular weight attached."""
-    weight2: int
-    series: LaurentSeries
+    __slots__ = ("weight2", "series")
 
-    def __post_init__(self):
-        if self.series.nvars != 0:
+    def __init__(self, weight2: int, series: LaurentSeries):
+        if series.nvars != 0:
             raise ValueError("modular forms carry no y-variables")
+        super().__init__(weight2, series)
 
     @property
     def qmax(self) -> int:

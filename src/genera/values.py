@@ -1,8 +1,12 @@
-"""The infinite order/divisor value, shared by divis and cells.
+"""Small value types shared across the package.
 
-INF is a singleton, serialized as the string "inf", and never a numeric
-sentinel. The only integer INF divides is 0 (an element of infinite order
-bounds nothing except the zero Euler number).
+INF, the infinite order/divisor value shared by divis and cells, is a
+singleton, serialized as the string "inf", and never a numeric sentinel. The
+only integer INF divides is 0 (an element of infinite order bounds nothing
+except the zero Euler number).
+
+Record is the base of the immutable records that the series commands load
+(see the genera.cli docstring for why they are not dataclasses).
 """
 
 from __future__ import annotations
@@ -32,3 +36,43 @@ def divides(d, e: int) -> bool:
 
 def value_str(v) -> str:
     return "inf" if v is INF else str(v)
+
+
+class Record:
+    """An immutable record with the semantics of a frozen dataclass.
+
+    A subclass lists its fields in __slots__, in constructor order, checks
+    its arguments in its own __init__ and then passes them, in that order, to
+    Record.__init__. Records compare equal only to records of the same class
+    with equal fields, hash their field tuple, print as
+    Name(field=value, ...) and refuse assignment and deletion.
+    """
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -2,10 +2,15 @@
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from genera.cli import main
+from genera.cli import QMAX_CAP, main
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -90,6 +95,19 @@ def test_jf_check_rejects_malformed_json(tmp_path, capsys):
         f.write_text(json.dumps({**good, "terms": [term]}))
         rc, out, err = run(capsys, "jf", "check", str(f))
         assert rc == 2 and out == "" and what in err
+
+
+@pytest.mark.parametrize("argv", [("jf", "gen", "a"),
+                                  ("genus", "compute", "--chern", "point1")])
+def test_qmax_cap(tmp_path, capsys, argv):
+    (tmp_path / "point1.json").write_text(json.dumps({"dimc": 1, "numbers": {"1": 2}}))
+    argv = ("--data-dir", str(tmp_path)) + argv
+    rc, out, err = run(capsys, *argv, "--qmax", str(QMAX_CAP))
+    assert rc == 0 and err == ""
+    assert json.loads(out)["qmax"] == QMAX_CAP
+    rc, out, err = run(capsys, *argv, "--qmax", str(QMAX_CAP + 1))
+    assert rc == 2 and out == ""
+    assert f"must be <= {QMAX_CAP}" in err
 
 
 # ---------------------------------------------------------------- genus
@@ -383,3 +401,30 @@ def test_unknown_data_name(capsys):
                         "--element", "eta")
     assert rc == 2
     assert "pi_nope" in err
+
+
+STARTUP_PROBE = """
+import contextlib, io, json, os, sys
+import genera.cli
+heavy = ("dataclasses", "csv", "genera.cells", "genera.divis", "genera.hodge",
+         "genera.acceptance", "genera.genus")
+at_import = [m for m in heavy if m in sys.modules]
+form = os.path.join(sys.argv[1], "phi01.json")
+codes = []
+with open(form, "w") as fh, contextlib.redirect_stdout(fh):
+    codes.append(genera.cli.main(["jf", "gen", "phi01", "--qmax", "4"]))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(genera.cli.main(["jf", "check", form]))
+    codes.append(genera.cli.main(["genus", "compute", "--chern", "k3", "--qmax", "4"]))
+print(json.dumps({"at_import": at_import, "codes": codes,
+                  "dataclasses_after": "dataclasses" in sys.modules}))
+"""
+
+
+def test_series_commands_import_only_what_they_run(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got == {"at_import": [], "codes": [0, 0, 0], "dataclasses_after": False}

@@ -219,3 +219,16 @@ def test_two_variable_genus_symmetry_and_y2_collapse(m, qmax):
     a = jacobi.generator("a", qmax).series
     want = a ** m.dimc * genus.euler_number(m)
     assert LaurentSeries(1, qmax, at_y2_one) == want
+
+
+def test_chern_data_is_a_value_record(k3):
+    same = genus.ChernData(label="k3", dimc=2, numbers={(2,): 24, (1, 1): 0})
+    assert k3 == same
+    assert k3 != genus.ChernData("k3", 2, {(2,): 24, (1, 1): 1})
+    assert k3 != genus.ChernData("K3", 2, {(2,): 24, (1, 1): 0})
+    assert k3 != ("k3", 2, {(2,): 24, (1, 1): 0})
+    assert repr(k3) == "ChernData(label='k3', dimc=2, numbers={(2,): 24, (1, 1): 0})"
+    with pytest.raises(TypeError):
+        hash(k3)  # numbers is a dict
+    with pytest.raises(AttributeError):
+        k3.dimc = 3

@@ -1,5 +1,6 @@
 """Generator expansions, the elliptic transformation law, and the z=0 story."""
 
+import copy
 import itertools
 import math
 
@@ -234,3 +235,41 @@ def test_serialization_roundtrip():
         g = jacobi.JacobiForm.from_obj(f.to_obj())
         assert g.series == f.series
         assert (g.weight2, g.index2) == (f.weight2, f.index2)
+
+
+# ---------------------------------------------------------------- record semantics
+
+
+def test_jacobi_form_is_a_value_record():
+    s = jacobi.generator("a", 1).series
+    f = jacobi.JacobiForm(-2, 1, s)
+    assert f == jacobi.JacobiForm(weight2=-2, index2=1, series=s)
+    assert hash(f) == hash(jacobi.JacobiForm(-2, 1, LaurentSeries(1, 1, dict(s.coeffs))))
+    assert f != jacobi.JacobiForm(0, 1, s)
+    assert f != jacobi.JacobiForm(-2, 1, s.truncate(0))
+    assert f != jacobi.EllipticLawReport(-2, 1, s, False)
+    assert repr(f) == (
+        "JacobiForm(weight2=-2, index2=1, series=<series nvars=1 qmax=1: -y^(-1/2) + y^(1/2)"
+        " + q*y^(-3/2) - 3*q*y^(-1/2) + 3*q*y^(1/2) - q*y^(3/2)>)")
+    with pytest.raises(AttributeError):
+        f.weight2 = 0
+    with pytest.raises(AttributeError):
+        f.extra = 0
+    with pytest.raises(AttributeError):
+        del f.series
+    assert copy.copy(f) == f and copy.deepcopy(f) == f
+
+
+def test_elliptic_law_report_is_a_value_record():
+    rep = jacobi.EllipticLawReport(1, 3, ((0, 1, 2),), False)
+    same = jacobi.EllipticLawReport(lam=1, pairs_checked=3, violations=((0, 1, 2),),
+                                    vacuous=False)
+    assert rep == same and hash(rep) == hash(same)
+    assert rep != jacobi.EllipticLawReport(1, 3, ((0, 1, 2),), True)
+    assert rep != jacobi.EllipticLawReport(-1, 3, ((0, 1, 2),), False)
+    assert rep != (1, 3, ((0, 1, 2),), False)
+    assert repr(rep) == "EllipticLawReport(lam=1, pairs_checked=3, violations=((0, 1, 2),), vacuous=False)"
+    assert repr(jacobi.check_elliptic_law(jacobi.generator("a", 1), 1)) == (
+        "EllipticLawReport(lam=1, pairs_checked=4, violations=(), vacuous=False)")
+    with pytest.raises(AttributeError):
+        rep.violations = ()

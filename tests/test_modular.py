@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from genera import modular
+from genera.series import LaurentSeries
 
 
 def test_e4_expansion():
@@ -53,3 +54,17 @@ def test_scalar_multiplication():
     t = 1728 * d
     assert t.coeff(1) == 1728
     assert t.weight2 == 24
+
+
+def test_qexpansion_is_a_value_record():
+    e = modular.e4(2)
+    same = modular.QExpansion(weight2=8, series=modular.e4(2).series)
+    assert e == same and hash(e) == hash(same)
+    assert e != modular.QExpansion(12, e.series)
+    assert e != modular.e4(3)
+    assert e != (8, e.series)
+    assert repr(e) == "QExpansion(weight2=8, series=<series nvars=0 qmax=2: 1 + 240*q + 2160*q^2>)"
+    with pytest.raises(AttributeError):
+        e.weight2 = 12
+    with pytest.raises(ValueError, match="no y-variables"):
+        modular.QExpansion(8, series=LaurentSeries.one(1, 2))
