@@ -45,9 +45,9 @@ from itertools import combinations
 from math import factorial
 from operator import mul
 
-from genera.jacobi import JacobiForm, generator_a
+from genera.jacobi import JacobiForm, generator_a, z_taylor
 from genera.modular import sigma
-from genera.series import LaurentSeries
+from genera.series import LaurentSeries, json_int
 from genera.values import Record
 
 
@@ -80,18 +80,12 @@ def partitions(n: int, max_part: int | None = None):
             yield (first,) + rest
 
 
-def _json_int(what: str, value) -> int:
-    # bool is a subclass of int, and int() would silently truncate floats
-    if type(value) is not int:
-        raise ChernDataError(f"{what} must be a JSON integer, got {value!r}")
-    return value
-
-
 class ChernData(Record):
     """Chern numbers of a (stably almost) complex manifold.
 
-    numbers maps partitions of dimc (descending tuples) to integers; the
-    entry for (l1, ..., lr) is the integral of c_{l1} ... c_{lr}.
+    numbers maps every partition of dimc (descending tuples) to an integer;
+    the entry for (l1, ..., lr) is the integral of c_{l1} ... c_{lr}. A
+    missing partition is an error here, at load, for every caller.
     """
     __slots__ = ("label", "dimc", "numbers")
 
@@ -104,12 +98,13 @@ class ChernData(Record):
                     f"{label}: partition {parts} does not sum to dimc={dimc}")
             if not isinstance(val, int):
                 raise ChernDataError(f"{label}: number for {parts} is not an integer")
+        for parts in partitions(dimc):
+            if parts not in numbers:
+                raise ChernDataError(
+                    f"{label}: missing Chern number for partition {partition_key(parts) or '()'}")
         super().__init__(label, dimc, numbers)
 
     def number(self, parts: tuple[int, ...]) -> int:
-        if parts not in self.numbers:
-            raise ChernDataError(
-                f"{self.label}: missing Chern number for partition {partition_key(parts) or '()'}")
         return self.numbers[parts]
 
     def to_obj(self) -> dict:
@@ -124,11 +119,15 @@ class ChernData(Record):
         raw = obj.get("numbers", {}) if isinstance(obj, dict) else None
         if not isinstance(raw, dict):
             raise ChernDataError("Chern data must be an object whose numbers are an object")
-        numbers = {parse_partition_key(k): _json_int(f"number for {k!r}", v)
-                   for k, v in raw.items()}
-        if "dimc" not in obj:
-            raise ChernDataError("missing dimc")
-        return cls(str(obj.get("label", "unnamed")), _json_int("dimc", obj["dimc"]), numbers)
+        try:
+            numbers = {parse_partition_key(k): json_int(f"number for {k!r}", v)
+                       for k, v in raw.items()}
+            if "dimc" not in obj:
+                raise ChernDataError("missing dimc")
+            dimc = json_int("dimc", obj["dimc"])
+        except ValueError as exc:
+            raise ChernDataError(str(exc)) from None
+        return cls(str(obj.get("label", "unnamed")), dimc, numbers)
 
     @classmethod
     def load(cls, path) -> "ChernData":
@@ -200,19 +199,17 @@ def _pmul(A: list, B: list, xdeg: int) -> list:
 def factor_polynomial(qmax: int, xdeg: int, nvars: int = 1, slot: int = 0) -> list[LaurentSeries]:
     """Coefficients [F_0, ..., F_xdeg] of F(x) = x * a(z + x) / a(x) in one root.
 
-    The x^i coefficient of a(z + x) is (y d/dy)^i a / i!: the y^{R/2} term of
-    a scaled by (R/2)^i / i!. The x^d coefficient E_d of x/a(x) is a pure
-    q-series; with K_d = 2 G_d / (d-1)! for even d and K_d = 0 for odd d,
-    the exponential gives d * E_d = sum_{i=1}^d K_i * E_{d-i}, and
-    F = (the shifts of a) * E. The elliptic variable sits in the given slot
+    The x^i coefficient of a(z + x) is (y d/dy)^i a / i!, computed by
+    jacobi.z_taylor, the helper that also builds phi01. The x^d coefficient
+    E_d of x/a(x) is a pure q-series; with K_d = 2 G_d / (d-1)! for even d
+    and K_d = 0 for odd d, the exponential gives
+    d * E_d = sum_{i=1}^d K_i * E_{d-i}, and F = (the shifts of a) * E. The elliptic variable sits in the given slot
     of an nvars-variable ring; F_0 is exactly the generator a in that slot.
     """
     if nvars < 1 or not 0 <= slot < nvars:
         raise ValueError("need nvars >= 1 and a valid slot")
     a = generator_a(qmax).series
-    shifts = [LaurentSeries(1, qmax, {
-        (n, (r,)): c * Fraction(r, 2) ** i / factorial(i) for (n, (r,)), c in a.coeffs.items()
-    }).embed(nvars, slot) for i in range(xdeg + 1)]
+    shifts = [z_taylor(a, i).embed(nvars, slot) for i in range(xdeg + 1)]
 
     zero = (0,) * nvars
     todd = _todd_coeffs(xdeg)
@@ -282,7 +279,6 @@ def elliptic_genus(M: ChernData, nvars: int = 1, qmax: int = 10) -> JacobiForm:
     """The elliptic genus of M, tagged as a weak Jacobi form.
 
     Weight 0; index2 = dimc in each of the nvars elliptic variables.
-    Raises ChernDataError if a needed Chern number is absent.
 
     The result obeys the elliptic transformation law only when every Chern
     number with a c1 factor is zero (rationally, SU data). Otherwise it is

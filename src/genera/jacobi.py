@@ -15,11 +15,17 @@ values at z = 0:
     phi02        0        4      6
     phi04        0        8      3
 
-a, phi032 and the three theta quotients of phi01 are each one finite
-theta-type sum in y divided by a pure q-series sum (`_theta_quotient`); no
-infinite product is expanded and no y-dependent series is inverted. phi02
-and phi04 are produced by exact divisions (by 24 and 4) that must leave
-integral series; the constructors assert that.
+a and phi032 are each one finite theta-type sum in y divided by a pure
+q-series sum (`_theta_quotient`); no infinite product is expanded and no
+y-dependent series is inverted. Everything else is polynomial algebra over
+them. phi01 = 12 * wp * a^2 comes from a, its z-Taylor coefficients
+(`z_taylor`) and the quasimodular E2; its q^0 layer is y + 10 + y^{-1}:
+
+>>> generator("phi01", 0).series.q_layer(0) == {(2,): 1, (0,): 10, (-2,): 1}
+True
+
+phi02 and phi04 are produced by exact divisions (by 24 and 4) that must
+leave integral series; the constructors assert that.
 """
 
 from __future__ import annotations
@@ -173,73 +179,31 @@ def _phi032(qmax: int) -> JacobiForm:
     return JacobiForm(0, 3, _theta_quotient(num, LaurentSeries(0, qmax, den)).as_integral())
 
 
-def _theta2_quotient(qmax: int) -> LaurentSeries:
-    """theta_2(z)^2 / theta_2(0)^2 on the integer q-grid.
+def z_taylor(series: LaurentSeries, i: int) -> LaurentSeries:
+    """The x^i Taylor coefficient of f(z + x) for a one-variable f, y = e^z.
 
-    theta_2(z)^2 = sum_{n,m} q^{((n+1/2)^2+(m+1/2)^2)/2} y^{n+m+1}; the q^{1/4}
-    prefactor cancels in the quotient and (n(n+1)+m(m+1))/2 is an integer.
-    The denominator series has leading coefficient 4 (the four lattice points
-    with n, m in {0, -1}).
+    It is D^i f / i! with D = y d/dy: the y^{R/2} term scaled by (R/2)^i / i!.
     """
-    N = int(math.isqrt(2 * qmax)) + 2
-    num: dict = {}
-    den: dict = {}
-    for n in range(-N, N + 1):
-        for m in range(-N, N + 1):
-            e = (n * (n + 1) + m * (m + 1)) // 2
-            if e > qmax:
-                continue
-            key = (e, (2 * (n + m + 1),))
-            num[key] = num.get(key, 0) + 1
-            den[(e, ())] = den.get((e, ()), 0) + 1
-    return _theta_quotient(num, LaurentSeries(0, qmax, den))
-
-
-def _theta34_quotients(qmax: int) -> LaurentSeries:
-    """theta_3(z)^2/theta_3(0)^2 + theta_4(z)^2/theta_4(0)^2.
-
-    Each summand lives on the q^{1/2} grid (exponents (n^2+m^2)/2), so both
-    are assembled with Q = q^{1/2} and Qmax = 2*qmax + 1. The theta_4 series
-    is the theta_3 series at Q -> -Q, so odd Q-powers must cancel in the sum;
-    that cancellation is asserted before reducing back to the q-grid.
-    """
-    Qmax = 2 * qmax + 1
-    N = int(math.isqrt(Qmax)) + 2
-    b: dict = {}
-    b0: dict = {}
-    c: dict = {}
-    c0: dict = {}
-    for n in range(-N, N + 1):
-        for m in range(-N, N + 1):
-            e = n * n + m * m
-            if e > Qmax:
-                continue
-            sgn = -1 if (n + m) % 2 else 1
-            key = (e, (2 * (n + m),))
-            b[key] = b.get(key, 0) + 1
-            c[key] = c.get(key, 0) + sgn
-            b0[(e, ())] = b0.get((e, ()), 0) + 1
-            c0[(e, ())] = c0.get((e, ()), 0) + sgn
-    S = (_theta_quotient(b, LaurentSeries(0, Qmax, b0))
-         + _theta_quotient(c, LaurentSeries(0, Qmax, c0)))
-    out: dict = {}
-    for (e, R), coeff in S.coeffs.items():
-        if e % 2 != 0:
-            raise AssertionError(
-                f"odd half-power Q^{e} survived the theta_3/theta_4 pairing")
-        if e // 2 <= qmax:
-            out[(e // 2, R)] = coeff
-    return LaurentSeries(1, qmax, out)
+    return LaurentSeries(1, series.qmax, {
+        (n, (R,)): c * Fraction(R ** i, 2 ** i * math.factorial(i))
+        for (n, (R,)), c in series.coeffs.items()})
 
 
 @lru_cache(maxsize=None)
 def _phi01(qmax: int) -> JacobiForm:
-    """Weight 0, doubled index 2, ev = 12; built from three theta quotients.
+    """Weight 0, doubled index 2, ev = 12: phi01 = 12 * wp * a^2.
 
-    phi01 = 4 * sum_{i in {2,3,4}} theta_i(z)^2 / theta_i(0)^2.
-    q^0 layer: y + 10 + y^{-1}.
+    wp, the Weierstrass function in units of (2 pi i)^2, is
+    -D^2 log a + E2/12 with D = y d/dy (Eichler and Zagier, The Theory of
+    Jacobi Forms, 1985, sec. 9). With a_i = z_taylor(a, i) = D^i a / i!,
+
+        phi01 = 12 (a_1^2 - 2 a a_2) + E2 a^2 = a_1 (12 a_1) + a (E2 a - 24 a_2),
+
+    the second grouping taking three series products instead of four.
     """
-    s = 4 * (_theta2_quotient(qmax) + _theta34_quotients(qmax))
+    a = generator_a(qmax)
+    a1, a2 = z_taylor(a.series, 1), z_taylor(a.series, 2)
+    s = a1 * (12 * a1) + a.series * ((modular.e2(qmax) * a).series - 24 * a2)
     return JacobiForm(0, 2, s.as_integral())
 
 
@@ -299,10 +263,13 @@ def check_elliptic_law(f: JacobiForm, lam: int) -> EllipticLawReport:
     where sign = (-1)^(index2 * lam) is the theta character; it is trivial
     for integral index (even index2) and alternates for half-integral index.
     Shifted keys with negative q-power count as coefficient zero; shifted
-    keys beyond qmax are not checkable and are skipped.
+    keys beyond qmax are not checkable and are skipped. lam = 0 maps every
+    coefficient onto itself and checks nothing, so it is a ValueError.
     """
     if f.nvars != 1:
         raise ValueError("elliptic law check is single-variable")
+    if lam == 0:
+        raise ValueError("lambda must be nonzero: lambda = 0 checks nothing")
     m2 = f.index2
     sign = -1 if (m2 * lam) % 2 else 1
 

@@ -70,20 +70,32 @@ class QExpansion(Record):
         return {"weight2": self.weight2, **self.series.to_obj()}
 
 
-def e4(qmax: int) -> QExpansion:
-    """Eisenstein series of weight 4: 1 + 240 sum sigma_3(n) q^n."""
+def _eisenstein(weight: int, c: int, qmax: int) -> QExpansion:
+    """1 + c * sum_{n>=1} sigma_{weight-1}(n) q^n, tagged with the given weight."""
     coeffs = {(0, ()): Fraction(1)}
     for n in range(1, qmax + 1):
-        coeffs[(n, ())] = Fraction(240 * sigma(3, n))
-    return QExpansion(8, LaurentSeries(0, qmax, coeffs))
+        coeffs[(n, ())] = Fraction(c * sigma(weight - 1, n))
+    return QExpansion(2 * weight, LaurentSeries(0, qmax, coeffs))
+
+
+def e2(qmax: int) -> QExpansion:
+    """Eisenstein series of weight 2: 1 - 24 sum sigma_1(n) q^n.
+
+    Only quasimodular: E2 picks up an extra term under tau -> -1/tau, so it
+    lies outside the ring generated by e4 and e6. It enters the Jacobi
+    generators as the constant of the Weierstrass function (jacobi._phi01).
+    """
+    return _eisenstein(2, -24, qmax)
+
+
+def e4(qmax: int) -> QExpansion:
+    """Eisenstein series of weight 4: 1 + 240 sum sigma_3(n) q^n."""
+    return _eisenstein(4, 240, qmax)
 
 
 def e6(qmax: int) -> QExpansion:
     """Eisenstein series of weight 6: 1 - 504 sum sigma_5(n) q^n."""
-    coeffs = {(0, ()): Fraction(1)}
-    for n in range(1, qmax + 1):
-        coeffs[(n, ())] = Fraction(-504 * sigma(5, n))
-    return QExpansion(12, LaurentSeries(0, qmax, coeffs))
+    return _eisenstein(6, -504, qmax)
 
 
 def eta3_sum(qmax: int) -> LaurentSeries:

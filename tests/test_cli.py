@@ -71,6 +71,21 @@ def test_jf_check_flags_corruption(tmp_path, capsys):
     assert rep["violations"]
 
 
+def test_jf_check_rejects_lambda_zero(tmp_path, capsys):
+    # lambda = 0 maps each coefficient onto itself: a corrupted file would
+    # pass it, so it is a usage error rather than an "ok" report
+    rc, out, _ = run(capsys, "jf", "gen", "phi01", "--qmax", "3")
+    obj = json.loads(out)
+    obj["terms"][2][2] = "999"
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(obj))
+    rc, out, _ = run(capsys, "jf", "check", str(f), "--lambda", "1")
+    assert rc == 1 and json.loads(out)["violations"]
+    rc, out, err = run(capsys, "jf", "check", str(f), "--lambda", "0")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "lambda" in err
+
+
 def test_jf_check_rejects_malformed_json(tmp_path, capsys):
     # not JSON, a non-object file, an object missing every key, a bad term
     bad_term = '{"weight2": 0, "index2": 1, "nvars": 1, "qmax": 1, "terms": [5]}'
@@ -144,6 +159,10 @@ def test_genus_missing_chern_key_is_reported(tmp_path, capsys):
                         "--nvars", "1", "--qmax", "1")
     assert rc == 2
     assert err.startswith("error:")
+    # checked at load, so even the Euler number, which needs only c_2, refuses it
+    rc, out, err = run(capsys, "genus", "euler", "--chern", str(f))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "partition 1,1" in err
 
 
 def test_genus_non_integer_chern_data_is_a_usage_error(tmp_path, capsys):

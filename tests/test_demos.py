@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from genera import modular, series
+from genera import jacobi, modular, series
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -25,7 +25,7 @@ def test_demo_runs(demo):
     assert proc.stdout
 
 
-@pytest.mark.parametrize("module", [series, modular], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [series, modular, jacobi], ids=lambda m: m.__name__)
 def test_doctests(module):
     result = doctest.testmod(module)
     assert result.attempted and result.failed == 0

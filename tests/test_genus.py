@@ -148,9 +148,10 @@ def test_chern_data_validation():
 
 
 def test_missing_chern_number_is_an_error():
-    m = genus.ChernData.from_obj({"dimc": 2, "numbers": {"2": 24}})  # no c1^2
-    with pytest.raises(genus.ChernDataError):
-        genus.elliptic_genus(m, nvars=1, qmax=2)
+    with pytest.raises(genus.ChernDataError, match="partition 1,1"):
+        genus.ChernData.from_obj({"dimc": 2, "numbers": {"2": 24}})  # no c1^2
+    with pytest.raises(genus.ChernDataError, match=r"partition \(\)"):
+        genus.ChernData("point", 0, {})
 
 
 def test_bad_nvars_rejected(k3):

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -109,7 +110,60 @@ def _a_at(m, qmax):
     return LaurentSeries(1, qmax, {(n, (m * R,)): c for (n, (R,)), c in a.coeffs.items()})
 
 
+def _lattice_quotient(num, den, qmax):
+    """sum num / sum den for lattice sums num (keyed (n, R)) and den (keyed n)."""
+    den = LaurentSeries(1, qmax, {(n, (0,)): c for n, c in den.items()})
+    return LaurentSeries(1, qmax, {(n, (R,)): c for (n, R), c in num.items()}) * den.inverse()
+
+
+def _theta2_quotient(qmax):
+    """theta_2(z)^2 / theta_2(0)^2: the q^{1/4} prefactor cancels, so the
+    exponents (n(n+1) + m(m+1))/2 are integers."""
+    N = math.isqrt(2 * qmax) + 2
+    num, den = {}, {}
+    for n, m in itertools.product(range(-N, N + 1), repeat=2):
+        e = (n * (n + 1) + m * (m + 1)) // 2
+        num[e, 2 * (n + m + 1)] = num.get((e, 2 * (n + m + 1)), 0) + 1
+        den[e] = den.get(e, 0) + 1
+    return _lattice_quotient(num, den, qmax)
+
+
+def _theta34_quotients(qmax):
+    """theta_3(z)^2/theta_3(0)^2 + theta_4(z)^2/theta_4(0)^2.
+
+    Both live on the Q = q^{1/2} grid; theta_4 is theta_3 at Q -> -Q, so the
+    odd Q-powers cancel in the sum, which is asserted before halving them.
+    """
+    Qmax = 2 * qmax + 1
+    N = math.isqrt(Qmax) + 2
+    b, b0, c, c0 = {}, {}, {}, {}
+    for n, m in itertools.product(range(-N, N + 1), repeat=2):
+        e, sgn = n * n + m * m, (-1) ** (n + m)
+        b[e, 2 * (n + m)] = b.get((e, 2 * (n + m)), 0) + 1
+        c[e, 2 * (n + m)] = c.get((e, 2 * (n + m)), 0) + sgn
+        b0[e] = b0.get(e, 0) + 1
+        c0[e] = c0.get(e, 0) + sgn
+    S = _lattice_quotient(b, b0, Qmax) + _lattice_quotient(c, c0, Qmax)
+    assert all(e % 2 == 0 for (e, _R) in S.coeffs)
+    return LaurentSeries(1, qmax, {(e // 2, R): v for (e, R), v in S.coeffs.items()})
+
+
 REFERENCE_QMAX = 20
+
+
+def test_phi01_matches_theta_square_sums():
+    # phi01 = 4 * sum_{i in {2,3,4}} theta_i(z)^2 / theta_i(0)^2
+    for q in range(REFERENCE_QMAX + 1):
+        want = 4 * (_theta2_quotient(q) + _theta34_quotients(q))
+        assert jacobi.generator("phi01", q).series == want, q
+
+
+def test_z_taylor():
+    f = jacobi.generator("a", 3).series
+    assert jacobi.z_taylor(f, 0) == f
+    assert jacobi.z_taylor(_half_monomials(3, -1), 1) == _half_monomials(3, 1) * Fraction(1, 2)
+    # D^2 a / 2 = D(D a) / 2: the helper composes as the Taylor coefficients must
+    assert jacobi.z_taylor(f, 2) == jacobi.z_taylor(jacobi.z_taylor(f, 1), 1) * Fraction(1, 2)
 
 
 def test_a_matches_product_formula():
@@ -162,6 +216,16 @@ def test_elliptic_law_generators(name, lam):
     assert rep.ok
     assert rep.pairs_checked >= 5
     assert not rep.vacuous
+
+
+def test_elliptic_law_rejects_lambda_zero():
+    # lambda = 0 maps each coefficient onto itself, so even a corrupted form
+    # would pass; it is refused rather than reported as checked
+    f = jacobi.generator("phi01", 3)
+    poisoned = jacobi.JacobiForm(0, 2, f.series + LaurentSeries.monomial(1, 3, 1, (0,), 999))
+    for g in (f, poisoned):
+        with pytest.raises(ValueError, match="lambda"):
+            jacobi.check_elliptic_law(g, 0)
 
 
 @given(

@@ -20,6 +20,16 @@ def test_e6_expansion():
     assert e.weight2 == 12
 
 
+def test_ramanujan_derivative_of_e2_e4():
+    # q d/dq E4 = (E2 E4 - E6)/3 pins E2, and its weight, independently of
+    # its definition; q d/dq E2 = (E2^2 - E4)/12 as well
+    q = 12
+    e2, e4, e6 = modular.e2(q), modular.e4(q), modular.e6(q)
+    assert e2.weight2 == 4
+    assert all(3 * n * e4.coeff(n) == (e2 * e4 - e6).coeff(n) for n in range(q + 1))
+    assert all(12 * n * e2.coeff(n) == (e2 * e2 - e4).coeff(n) for n in range(q + 1))
+
+
 def test_delta_expansion():
     d = modular.delta(6)
     # tau(n): 1, -24, 252, -1472, 4830, -6048
@@ -45,6 +55,7 @@ def test_eisenstein_divisor_sums(n):
     def sigma(k):
         return sum(d**k for d in range(1, n + 1) if n % d == 0)
 
+    assert modular.e2(n).coeff(n) == -24 * sigma(1)
     assert modular.e4(n).coeff(n) == 240 * sigma(3)
     assert modular.e6(n).coeff(n) == -504 * sigma(5)
 
