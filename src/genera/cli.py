@@ -37,6 +37,13 @@ from genera.values import value_str
 # genus compute on k3 takes about 0.6 s at qmax 100.
 QMAX_CAP = 100
 
+# Largest --nvars that genus compute accepts. The dense products grow with
+# the product of the exponent ranges, one range per variable: on the same
+# host genus compute on k3 takes about 4.7 s at nvars 2 and qmax 40, 2.7 s
+# at nvars 3 and qmax 10, 37 s at nvars 3 and qmax 20, and 16 s at nvars 4
+# and qmax 6.
+NVARS_CAP = 3
+
 
 def _nonneg(text: str) -> int:
     n = int(text)
@@ -56,6 +63,13 @@ def _positive(text: str) -> int:
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
+    return n
+
+
+def _nvars(text: str) -> int:
+    n = _positive(text)
+    if n > NVARS_CAP:
+        raise argparse.ArgumentTypeError(f"must be <= {NVARS_CAP}")
     return n
 
 
@@ -275,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     gnsub = gn.add_subparsers(dest="subcommand", required=True)
     comp = gnsub.add_parser("compute", help="print the genus as JSON")
     comp.add_argument("--chern", required=True, help="Chern-number file or fixture name")
-    comp.add_argument("--nvars", type=_positive, default=1)
+    comp.add_argument("--nvars", type=_nvars, default=1,
+                      help=f"elliptic variables, 1..{NVARS_CAP} (default 1)")
     comp.add_argument("--qmax", type=_qmax, default=10,
                       help=f"highest q-power kept, 0..{QMAX_CAP} (default 10)")
     comp.set_defaults(func=_cmd_genus_compute)

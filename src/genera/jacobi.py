@@ -52,7 +52,7 @@ class JacobiForm(Record):
     def __init__(self, weight2: int, index2: int, series: LaurentSeries):
         if series.nvars < 1:
             raise ValueError("a Jacobi form needs at least one elliptic variable")
-        for (n, R) in series.coeffs:
+        for (n, R) in series.coeffs.keys():
             for r in R:
                 if (r - index2) % 2 != 0:
                     raise ValueError(
@@ -329,16 +329,38 @@ def weight0_monomials(index2: int) -> list[tuple[int, int, int, int]]:
     return out
 
 
+# Parts 2, 3, 4, 8 are the doubled indices of phi01, phi032, phi02, phi04;
+# their z = 0 values 12, 2, 6, 3 carry these exponents of 2 and of 3.
+_PARTS = (2, 3, 4, 8)
+_TWOS = (2, 1, 1, 0)
+_THREES = (1, 0, 1, 1)
+
+
+def _least_cost(k: int, costs: tuple) -> int | None:
+    """Least sum of costs[i] * e_i over exponents with sum of _PARTS[i] * e_i = k.
+
+    A min-cost coin problem, solved for every total 0..k in turn; None when
+    no exponents reach k.
+    """
+    best = {0: 0}
+    for total in range(1, k + 1):
+        found = [best[total - p] + c for p, c in zip(_PARTS, costs) if total - p in best]
+        if found:
+            best[total] = min(found)
+    return best.get(k)
+
+
 def dclas_gcd_via_basis(k: int):
     """gcd of z=0 values over the weight-0 doubled-index-k monomial basis.
 
     The value 12^e1 2^e2 6^e3 3^e4 is 2^(2e1+e2+e3) 3^(e1+e3+e4), so the gcd
-    is 2 and 3 raised to the least of those exponents over the basis.
+    is 2 and 3 raised to the least of those exponents over the basis, the
+    exponents (e1, e2, e3, e4) of weight0_monomials(k). Each least exponent
+    is a min-cost coin problem over the parts, so the basis is never listed.
     Returns None (no constraint, the space is 0) when no monomial exists,
     which happens exactly at k = 1.
     """
-    monos = weight0_monomials(k)
-    if not monos:
+    twos = _least_cost(k, _TWOS)
+    if twos is None:
         return None
-    return (2 ** min(2 * e1 + e2 + e3 for e1, e2, e3, _e4 in monos)
-            * 3 ** min(e1 + e3 + e4 for e1, _e2, e3, e4 in monos))
+    return 2 ** twos * 3 ** _least_cost(k, _THREES)

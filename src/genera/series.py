@@ -5,23 +5,42 @@ Half-integer exponents are handled by storing DOUBLED y-exponents: the key
 (n, (R_1, ..., R_nvars)) holds the coefficient of q^n * prod_i y_i^{R_i/2}.
 So R = 2 means y^1 and R = 1 means y^{1/2}.
 
-Coefficients are fractions.Fraction and zero coefficients are never stored.
+A series stores one positive integer denominator `den` and a dict `nums`
+from keys to nonzero integer numerators: the coefficient of a key is
+nums[key] / den. The pair is kept normalized, gcd(den, every numerator) = 1,
+so den is the least common denominator of the coefficients: it is 1 exactly
+when the series is integral, and 1 for the zero series. Each series has one
+stored form, which == and hash compare. `coeffs` is a read-only mapping view
+that shows the same terms with fractions.Fraction coefficients; iterating
+it, `in`, `len` and `keys()` build no Fraction.
+
 Series are immutable by convention: no method mutates self, every operation
 returns a fresh instance. Binary operations truncate to the smaller qmax.
+The public constructor and `from_obj` check every key and value; results of
+operations on series that are already valid come from `_build`, which checks
+nothing and only normalizes.
 
 There is no truncation in the y-direction; every q-layer must be a finite
 Laurent polynomial, which holds for everything built here.
 
 A product of two series is one integer multiplication (Kronecker
-substitution). Each operand is scaled to integer numerators over its common
-denominator and packed into one signed int with a w-bit slot per key
-(n, R_1, ..., R_k), w a multiple of 8, in mixed radix: the radix of each
-y-variable is the width of the product's R range in steps of the gcd of the
-exponent differences, so no slot overflows into the next. A slot holds at
-most max|a| * max|b| * min(#a, #b) in absolute value, plus a sign bit.
-Adding 2^(w-1) to every slot of the q-layers 0..qmax of the product makes
-them nonnegative fields that unpack without borrows; dividing by the
-product of the two denominators gives the Fraction coefficients back.
+substitution). The stored numerators of each operand are packed into one
+signed int with a w-bit slot per key (n, R_1, ..., R_k), w a multiple of 8,
+in mixed radix: the radix of each y-variable is the width of the product's R
+range in steps of the gcd of the exponent differences, so no slot overflows
+into the next. A slot holds at most max|a| * max|b| * min(#a, #b) in
+absolute value, plus a sign bit. Adding 2^(w-1) to every slot of the
+q-layers 0..qmax of the product makes them nonnegative fields that unpack
+without borrows; the product of the two denominators is the denominator.
+
+The packing is dense, so its memory grows with the slot count
+(qmax + 1) * prod(radix), that is with the product of the exponent ranges,
+and not with the term counts: squaring y1^50 y2^50 + y1^-50 y2^-50 +
+q y1^(1/2) y2^(1/2) at qmax 3 needs 643204 slots for 9 term pairs. When the
+slot count exceeds MAX_SLOTS_PER_PAIR times #a * #b, the product is the
+schoolbook double loop over the numerators instead. This is a robustness
+guard that bounds memory by the term counts, not a tuning knob: every
+product the generators and the genus make stays far below it.
 
 >>> a = LaurentSeries.monomial(1, 4, 0, (1,)) - LaurentSeries.monomial(1, 4, 0, (-1,))
 >>> sorted((a * a).q_layer(0).items())
@@ -32,8 +51,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+
+# Dense packing is used while (product slots) <= MAX_SLOTS_PER_PAIR * #a * #b.
+MAX_SLOTS_PER_PAIR = 16
 
 
 def coeff_to_str(c: Fraction) -> str:
@@ -48,13 +70,6 @@ def coeff_from_str(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
     return Fraction(str(s))
-
-
-def _numerators(coeffs: Mapping, qmax: int) -> tuple[dict, int]:
-    """Integer numerators over one common denominator, terms above qmax dropped."""
-    kept = {k: c for k, c in coeffs.items() if k[0] <= qmax}
-    den = math.lcm(*(c.denominator for c in kept.values()))
-    return {k: c.numerator * (den // c.denominator) for k, c in kept.items()}, den
 
 
 def json_int(what: str, value) -> int:
@@ -73,8 +88,62 @@ def require_keys(obj, *keys) -> None:
         raise ValueError(f"missing key(s) {', '.join(map(repr, missing))}")
 
 
+class _Coeffs(Mapping):
+    """Read-only view of a series' terms as Fraction coefficients."""
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums: dict, den: int):
+        self._nums = nums
+        self._den = den
+
+    def __getitem__(self, key) -> Fraction:
+        return Fraction(self._nums[key], self._den)
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+    def __contains__(self, key) -> bool:
+        return key in self._nums
+
+    def keys(self):
+        return self._nums.keys()
+
+
+def _build(nvars: int, qmax: int, nums: dict, den: int = 1) -> "LaurentSeries":
+    """The series nums / den, trusted: keys valid and at most qmax, nums nonzero, den >= 1.
+
+    Checks nothing and only normalizes, dividing out gcd(den, nums).
+    """
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {k: v // g for k, v in nums.items()}
+    s = object.__new__(LaurentSeries)
+    s.nvars = nvars
+    s.qmax = qmax
+    s.den = den
+    s.nums = nums
+    return s
+
+
+def _schoolbook(a: dict, b: dict, qmax: int) -> dict:
+    """Nonzero numerators of a * b up to qmax, by the double loop over both terms."""
+    out: dict = {}
+    for (n1, R1), c1 in a.items():
+        for (n2, R2), c2 in b.items():
+            n = n1 + n2
+            if n <= qmax:
+                key = (n, tuple(r1 + r2 for r1, r2 in zip(R1, R2)))
+                out[key] = out.get(key, 0) + c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
 class LaurentSeries:
-    __slots__ = ("nvars", "qmax", "coeffs")
+    __slots__ = ("nvars", "qmax", "den", "nums")
 
     def __init__(self, nvars: int, qmax: int, coeffs: Mapping | None = None):
         if nvars < 0:
@@ -99,7 +168,10 @@ class LaurentSeries:
                 c = val if isinstance(val, Fraction) else Fraction(val)
                 if c != 0:
                     clean[(n, R)] = c
-        self.coeffs = clean
+        # the least common denominator of reduced fractions leaves gcd 1
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        self.den = den
+        self.nums = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
 
     # ------------------------------------------------------------------
     # constructors
@@ -124,12 +196,17 @@ class LaurentSeries:
     # inspection
 
     @property
+    def coeffs(self) -> Mapping:
+        """The terms as a read-only mapping key -> Fraction."""
+        return _Coeffs(self.nums, self.den)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs.values())
+        return self.den == 1
 
     def coeff(self, n: int, R) -> Fraction:
         """Coefficient of q^n * y^(R/2). R may be an int when nvars == 1."""
@@ -137,26 +214,27 @@ class LaurentSeries:
             if self.nvars != 1:
                 raise ValueError("integer R only allowed for nvars == 1")
             R = (R,)
-        return self.coeffs.get((n, tuple(R)), Fraction(0))
+        return Fraction(self.nums.get((n, tuple(R)), 0), self.den)
 
     def q_layer(self, n: int) -> dict[tuple[int, ...], Fraction]:
         """All y-coefficients of q^n, as a dict R-tuple -> Fraction."""
-        return {R: c for (m, R), c in self.coeffs.items() if m == n}
+        return {R: Fraction(v, self.den) for (m, R), v in self.nums.items() if m == n}
 
     def terms(self) -> Iterator[tuple[int, tuple[int, ...], Fraction]]:
-        for (n, R) in sorted(self.coeffs):
-            yield n, R, self.coeffs[(n, R)]
+        for (n, R), v in sorted(self.nums.items()):
+            yield n, R, Fraction(v, self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return (self.nvars, self.qmax, self.coeffs) == (other.nvars, other.qmax, other.coeffs)
+        return ((self.nvars, self.qmax, self.den, self.nums)
+                == (other.nvars, other.qmax, other.den, other.nums))
 
     def __hash__(self):
-        return hash((self.nvars, self.qmax, tuple(sorted(self.coeffs.items()))))
+        return hash((self.nvars, self.qmax, self.den, frozenset(self.nums.items())))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __repr__(self) -> str:
         def mono(n, R, c):
@@ -197,26 +275,33 @@ class LaurentSeries:
             raise ValueError(f"nvars mismatch: {self.nvars} vs {other.nvars}")
         return min(self.qmax, other.qmax)
 
+    def _kept(self, qmax: int) -> dict:
+        """The numerators of the terms up to q^qmax."""
+        if qmax >= self.qmax:
+            return self.nums
+        return {k: v for k, v in self.nums.items() if k[0] <= qmax}
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = LaurentSeries.const(self.nvars, self.qmax, other)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         qmax = self._common(other)
-        out: dict = {}
-        for (n, R), c in self.coeffs.items():
-            if n <= qmax:
-                out[(n, R)] = c
-        for (n, R), c in other.coeffs.items():
-            if n <= qmax:
-                out[(n, R)] = out.get((n, R), Fraction(0)) + c
-        return LaurentSeries(self.nvars, qmax, out)
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        out = {k: v * sa for k, v in self._kept(qmax).items()}
+        for k, v in other._kept(qmax).items():
+            s = out.get(k, 0) + v * sb
+            if s:
+                out[k] = s
+            else:
+                del out[k]  # v != 0, so a zero sum means k was there
+        return _build(self.nvars, qmax, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentSeries(self.nvars, self.qmax,
-                             {k: -c for k, c in self.coeffs.items()})
+        return _build(self.nvars, self.qmax, {k: -v for k, v in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -232,16 +317,17 @@ class LaurentSeries:
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if c == 0:
-                return LaurentSeries(self.nvars, self.qmax)
-            return LaurentSeries(self.nvars, self.qmax,
-                                 {k: v * c for k, v in self.coeffs.items()})
+                return _build(self.nvars, self.qmax, {})
+            p = c.numerator
+            return _build(self.nvars, self.qmax, {k: v * p for k, v in self.nums.items()},
+                          self.den * c.denominator)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         qmax = self._common(other)
-        a, den_a = _numerators(self.coeffs, qmax)
-        b, den_b = _numerators(other.coeffs, qmax)
+        a, b = self._kept(qmax), other._kept(qmax)
+        den = self.den * other.den
         if not a or not b:
-            return LaurentSeries(self.nvars, qmax)
+            return _build(self.nvars, qmax, {})
 
         # Mixed radix over (n, digit_1, ..., digit_k), digit_i = (R_i - lo_i) // step_i.
         # radix_i spans the product's range, so digit sums never carry.
@@ -261,6 +347,9 @@ class LaurentSeries:
             places.append(layer)
             layer *= r
         places.reverse()
+        nslots = (qmax + 1) * layer
+        if nslots > MAX_SLOTS_PER_PAIR * len(a) * len(b):
+            return _build(self.nvars, qmax, _schoolbook(a, b, qmax), den)
 
         # Every product slot sums at most min(#a, #b) products: with a sign bit
         # it fits in `width` bytes.
@@ -285,14 +374,12 @@ class LaurentSeries:
 
         # Adding half = 2^(8*width - 1) to every slot of q-layers 0..qmax makes
         # each one a nonnegative byte field; the mask drops the layers above.
-        nslots = (qmax + 1) * layer
         half = 1 << (8 * width - 1)
         empty = half.to_bytes(width, "little")  # a zero slot after the offset
         offset = int.from_bytes(empty * nslots, "little")
         total = (pack(a, lo_a) * pack(b, lo_b) + offset) & ((1 << (8 * width * nslots)) - 1)
         data = total.to_bytes(width * nslots, "little")
 
-        den = den_a * den_b
         ys = list(itertools.product(*(range(la + lb, la + lb + r * s, s) for la, lb, r, s
                                       in zip(lo_a, lo_b, radix, steps))))
         out: dict = {}
@@ -302,8 +389,8 @@ class LaurentSeries:
                 chunk = data[j:j + width]
                 j += width
                 if chunk != empty:
-                    out[(n, R)] = Fraction(int.from_bytes(chunk, "little") - half, den)
-        return LaurentSeries(self.nvars, qmax, out)
+                    out[(n, R)] = int.from_bytes(chunk, "little") - half
+        return _build(self.nvars, qmax, out, den)
 
     __rmul__ = __mul__
 
@@ -324,20 +411,27 @@ class LaurentSeries:
 
         With c_k the coefficient of q^k and c_0 != 0, the inverse is the
         recurrence out_0 = 1/c_0, out_n = -(sum_{k=1..n} c_k out_{n-k}) / c_0.
+        It runs on the numerators N_k = den * c_k: out_n = den * u_n / N_0^(n+1)
+        with the integers u_0 = 1, u_n = -sum_{k=1..n} N_k u_{n-k} N_0^(k-1).
         Raises ValueError on y-dependent input or when c_0 == 0.
         """
-        if any(any(R) for _n, R in self.coeffs):
+        if any(any(R) for _n, R in self.nums):
             raise ValueError("inverse needs a pure q-series: every y-exponent must be 0")
         zero = (0,) * self.nvars
-        c0 = self.coeff(0, zero)
-        if c0 == 0:
+        n0 = self.nums.get((0, zero), 0)
+        if n0 == 0:
             raise ValueError("not invertible: the q^0 coefficient is 0")
-        tail = [(n, c) for (n, _R), c in self.coeffs.items() if n > 0]
-        out = [1 / c0]
-        for n in range(1, self.qmax + 1):
-            out.append(-sum(c * out[n - k] for k, c in tail if k <= n) / c0)
-        return LaurentSeries(self.nvars, self.qmax,
-                             {(n, zero): c for n, c in enumerate(out)})
+        qmax = self.qmax
+        tail = [(n, c) for (n, _R), c in self.nums.items() if n > 0]
+        powers = [n0 ** k for k in range(qmax + 2)]
+        u = [1]
+        for n in range(1, qmax + 1):
+            u.append(-sum(c * u[n - k] * powers[k - 1] for k, c in tail if k <= n))
+        # over the common denominator N_0^(qmax+1), made positive
+        sign = 1 if powers[qmax + 1] > 0 else -1
+        nums = {(n, zero): sign * self.den * un * powers[qmax - n]
+                for n, un in enumerate(u) if un}
+        return _build(self.nvars, qmax, nums, sign * powers[qmax + 1])
 
     # ------------------------------------------------------------------
     # substitutions and reshaping
@@ -347,18 +441,21 @@ class LaurentSeries:
             if qmax == self.qmax:
                 return self
             raise ValueError("cannot extend a truncated series")
-        return LaurentSeries(self.nvars, qmax,
-                             {k: c for k, c in self.coeffs.items() if k[0] <= qmax})
+        return _build(self.nvars, qmax, self._kept(qmax), self.den)
+
+    def _sum_by_key(self, nvars: int, key) -> "LaurentSeries":
+        """The series with each term (n, R) moved to key(n, R), like terms added."""
+        out: dict = {}
+        for (n, R), v in self.nums.items():
+            k = key(n, R)
+            out[k] = out.get(k, 0) + v
+        return _build(nvars, self.qmax, {k: v for k, v in out.items() if v}, self.den)
 
     def diagonal(self) -> "LaurentSeries":
         """Identify all y-variables: returns a 1-variable series with R = sum R_i."""
         if self.nvars == 0:
             raise ValueError("no variables to identify")
-        out: dict = {}
-        for (n, R), c in self.coeffs.items():
-            key = (n, (sum(R),))
-            out[key] = out.get(key, Fraction(0)) + c
-        return LaurentSeries(1, self.qmax, out)
+        return self._sum_by_key(1, lambda n, R: (n, (sum(R),)))
 
     def embed(self, nvars: int, slot: int) -> "LaurentSeries":
         """View a 1-variable series inside an nvars-variable ring, y -> y_slot."""
@@ -366,25 +463,19 @@ class LaurentSeries:
             raise ValueError("embed expects a 1-variable series")
         if not 0 <= slot < nvars:
             raise ValueError("slot out of range")
-        out = {}
-        for (n, (r,)), c in self.coeffs.items():
-            R = [0] * nvars
-            R[slot] = r
-            out[(n, tuple(R))] = c
-        return LaurentSeries(nvars, self.qmax, out)
+        before, after = (0,) * slot, (0,) * (nvars - slot - 1)
+        return _build(nvars, self.qmax, {(n, before + R + after): v
+                                         for (n, R), v in self.nums.items()}, self.den)
 
     def collapse_y(self) -> "LaurentSeries":
         """Set every y_i = 1, leaving a pure q-series (nvars = 0)."""
-        out: dict = {}
-        for (n, _R), c in self.coeffs.items():
-            key = (n, ())
-            out[key] = out.get(key, Fraction(0)) + c
-        return LaurentSeries(0, self.qmax, out)
+        return self._sum_by_key(0, lambda n, _R: (n, ()))
 
     def as_integral(self) -> "LaurentSeries":
         """Return self; raises if any coefficient is fractional."""
-        if not self.is_integral:
-            bad = [(k, c) for k, c in sorted(self.coeffs.items()) if c.denominator != 1][:3]
+        if self.den != 1:
+            bad = [(k, Fraction(v, self.den)) for k, v in sorted(self.nums.items())
+                   if v % self.den][:3]
             raise ValueError(f"non-integral coefficients, e.g. {bad}")
         return self
 
@@ -392,11 +483,13 @@ class LaurentSeries:
     # serialization
 
     def to_obj(self) -> dict:
+        den = self.den
         return {
             "nvars": self.nvars,
             "qmax": self.qmax,
-            "integral": self.is_integral,
-            "terms": [[n, list(R), coeff_to_str(c)] for n, R, c in self.terms()],
+            "integral": den == 1,
+            "terms": [[n, list(R), str(v) if den == 1 else coeff_to_str(Fraction(v, den))]
+                      for (n, R), v in sorted(self.nums.items())],
         }
 
     @classmethod

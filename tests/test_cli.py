@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from genera.cli import QMAX_CAP, main
+from genera.cli import NVARS_CAP, QMAX_CAP, main
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -123,6 +123,18 @@ def test_qmax_cap(tmp_path, capsys, argv):
     rc, out, err = run(capsys, *argv, "--qmax", str(QMAX_CAP + 1))
     assert rc == 2 and out == ""
     assert f"must be <= {QMAX_CAP}" in err
+
+
+def test_nvars_cap(tmp_path, capsys):
+    (tmp_path / "point1.json").write_text(json.dumps({"dimc": 1, "numbers": {"1": 2}}))
+    argv = ("--data-dir", str(tmp_path), "genus", "compute", "--chern", "point1",
+            "--qmax", "2", "--nvars")
+    rc, out, err = run(capsys, *argv, str(NVARS_CAP))
+    assert rc == 0 and err == ""
+    assert json.loads(out)["nvars"] == NVARS_CAP
+    rc, out, err = run(capsys, *argv, str(NVARS_CAP + 1))
+    assert rc == 2 and out == ""
+    assert f"must be <= {NVARS_CAP}" in err
 
 
 # ---------------------------------------------------------------- genus

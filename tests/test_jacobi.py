@@ -289,7 +289,7 @@ def reference_dclas_gcd(k):
 
 
 def test_dclas_gcd_via_basis_matches_big_int_gcd():
-    for k in range(1, 201):
+    for k in range(1, 301):
         assert jacobi.dclas_gcd_via_basis(k) == reference_dclas_gcd(k), k
 
 

@@ -1,15 +1,17 @@
 """Ring axioms, truncation, inverses, and serialization of LaurentSeries.
 
 The product is checked against `reference_mul`, the schoolbook double loop
-over Fraction coefficients.
+over Fraction coefficients, on both sides of the packing guard.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genera import series
 from genera.series import LaurentSeries, coeff_from_str, coeff_to_str
 
 QMAX = 3
@@ -62,6 +64,44 @@ def series_pair_st(draw):
 def test_product_matches_double_loop(pair):
     f, g = pair
     assert f * g == reference_mul(f, g)
+
+
+def sparse_st(nvars):
+    """A few terms with y-exponents up to +-60: the dense packing would be mostly empty."""
+    keys = st.tuples(st.integers(0, 3), st.tuples(*[st.integers(-60, 60)] * nvars))
+    return st.dictionaries(keys, big_coeff_st, max_size=4).map(
+        lambda d: LaurentSeries(nvars, 3, d))
+
+
+@given(st.integers(1, 3).flatmap(lambda nvars: st.tuples(sparse_st(nvars), sparse_st(nvars))))
+def test_sparse_product_matches_double_loop(pair):
+    f, g = pair
+    assert f * g == reference_mul(f, g)
+
+
+@pytest.mark.parametrize("side", [-2, -1, 0, 1, 2])
+def test_product_on_both_sides_of_the_packing_guard(monkeypatch, side):
+    # three terms at y-exponents 0, 1 and d at qmax 0: the packing holds
+    # 2d + 1 slots for 9 term pairs; in f * g the two y^(d+1) terms cancel
+    pairs = 9
+    d = (series.MAX_SLOTS_PER_PAIR * pairs - 1) // 2 + side
+    calls = []
+    schoolbook = series._schoolbook
+
+    def counted(*args):
+        calls.append(args)
+        return schoolbook(*args)
+
+    monkeypatch.setattr(series, "_schoolbook", counted)
+    f = LaurentSeries(1, 0, {(0, (0,)): Fraction(-3, 4), (0, (1,)): 2**70, (0, (d,)): 5})
+    g = LaurentSeries(1, 0, {(0, (0,)): Fraction(7, 6), (0, (1,)): 2**70, (0, (d,)): -5})
+    square, product = f * f, f * g
+    packed = 2 * d + 1 <= series.MAX_SLOTS_PER_PAIR * pairs
+    assert packed == (side <= 0)
+    assert len(calls) == (0 if packed else 2)
+    assert square == reference_mul(f, f)
+    assert product == reference_mul(f, g)
+    assert (0, (d + 1,)) not in product.coeffs
 
 
 def test_product_edge_cases():
@@ -201,6 +241,18 @@ def test_zero_pruning():
     assert not bool(f - f)
 
 
+def test_coeffs_is_a_read_only_fraction_view():
+    f = LaurentSeries(1, 2, {(0, (0,)): Fraction(1, 6), (1, (2,)): Fraction(-3, 4)})
+    assert (f.den, f.nums) == (12, {(0, (0,)): 2, (1, (2,)): -9})
+    view = f.coeffs
+    assert len(view) == 2 and (1, (2,)) in view and (2, (0,)) not in view
+    assert sorted(view) == [(0, (0,)), (1, (2,))]
+    assert view == {(0, (0,)): Fraction(1, 6), (1, (2,)): Fraction(-3, 4)} == dict(view)
+    assert all(type(c) is Fraction for _k, c in view.items())
+    with pytest.raises(TypeError):
+        view[(0, (0,))] = 1
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         LaurentSeries(-1, 2)
@@ -220,6 +272,43 @@ def test_binary_ops_truncate_to_min_qmax():
     assert (f + g).qmax == 2
     assert (f * g).qmax == 2
     assert (f * g).coeff(1, (0,)) == 1
+
+
+def assert_normalized(s):
+    """One stored form: nonzero int numerators, gcd(den, nums) = 1 (so den = 1 when zero)."""
+    assert type(s.den) is int and s.den >= 1
+    assert all(type(v) is int and v != 0 for v in s.nums.values())
+    assert math.gcd(s.den, *s.nums.values()) == 1
+    rebuilt = LaurentSeries(s.nvars, s.qmax, dict(s.coeffs))
+    assert (rebuilt.den, rebuilt.nums) == (s.den, s.nums)
+    assert s == rebuilt and hash(s) == hash(rebuilt)
+
+
+@given(series_st(nvars=2), series_st(nvars=2), coeff_st, st.integers(0, QMAX))
+def test_results_are_normalized(f, g, c, m):
+    results = [f * g, f * f, f + g, f - g, f + (-f), -f, c * f, f * c, f**3,
+               f.truncate(m), f.diagonal(), f.diagonal().embed(2, 1), f.collapse_y(),
+               f + c, f - c]
+    unit = f.collapse_y() + 1
+    if unit.coeff(0, ()):
+        results.append(unit.inverse())
+    for s in results:
+        assert_normalized(s)
+
+
+def test_products_and_sums_skip_the_validating_constructor(monkeypatch):
+    f = LaurentSeries(2, 4, {(0, (1, -3)): Fraction(-5, 6), (1, (0, 2)): 7, (3, (-1, 1)): 2})
+    g = LaurentSeries(2, 3, {(0, (0, 0)): Fraction(1, 3), (2, (1, 1)): -1})
+    calls = []
+    init = LaurentSeries.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LaurentSeries, "__init__", counted)
+    f * g, f + g, f - g, -f, 3 * f, f.truncate(1), f.diagonal().embed(2, 0)
+    assert calls == []
 
 
 @given(st.fractions(max_denominator=50))
