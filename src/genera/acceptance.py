@@ -23,6 +23,7 @@ from genera._data import resolve_data
 from genera.values import INF
 
 
+# a dataclass, not a values.Record: perfbench/tracer.py rebuilds it with dataclasses.replace
 @dataclass(frozen=True)
 class Criterion:
     num: int

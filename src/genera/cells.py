@@ -25,15 +25,13 @@ from __future__ import annotations
 import functools
 import json
 import os
-from collections.abc import Mapping
-from dataclasses import dataclass
 from math import gcd, lcm
 from types import MappingProxyType
 
 from genera import _intlin
 from genera._data import resolve_data
 from genera.series import json_int
-from genera.values import INF, value_str
+from genera.values import INF, Record, value_str
 
 
 class TableError(ValueError):
@@ -48,30 +46,21 @@ class ProductError(TableError):
     """A product of generators is not declared and its target is nontrivial."""
 
 
-@dataclass(frozen=True)
-class Gen:
-    name: str
-    degree: int
-    index: int
-    order: int  # 0 encodes Z
+class Gen(Record):
+    __slots__ = ("name", "degree", "index", "order")  # order 0 encodes Z
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(Record):
     """Coefficient vector over the generators of a single degree."""
-
-    degree: int
-    vector: tuple[int, ...]
+    __slots__ = ("degree", "vector")
 
 
-@dataclass(frozen=True, eq=False)
-class GradedTable:
-    name: str
-    lo: int
-    hi: int
-    connective: bool
-    groups: tuple[tuple[Gen, ...], ...]
-    action: Mapping  # read-only: (gen name, gen name) -> Element
+class GradedTable(Record):
+    # action maps (gen name, gen name) -> Element and by_name maps names to
+    # Gen, both read-only; a table is equal and hashed by identity
+    __slots__ = ("name", "lo", "hi", "connective", "groups", "action", "by_name")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def gens(self, degree: int) -> tuple[Gen, ...]:
         if self.lo <= degree <= self.hi:
@@ -83,18 +72,10 @@ class GradedTable:
         )
 
     def gen(self, name: str) -> Gen:
-        g = self._by_name.get(name)
+        g = self.by_name.get(name)
         if g is None:
             raise TableError(f"table {self.name} has no generator {name!r}")
         return g
-
-    @property
-    def _by_name(self) -> dict:
-        d = self.__dict__.get("_by_name_cache")
-        if d is None:
-            d = {g.name: g for gs in self.groups for g in gs}
-            object.__setattr__(self, "_by_name_cache", d)
-        return d
 
     def norm(self, degree: int, vector) -> Element:
         # reduce each component mod its cyclic order; Z components pass through
@@ -213,7 +194,7 @@ def _table_from_text(fpath: str, text: str) -> GradedTable:
         raise TableError(f"table {name}: groups must be an object and action a list")
 
     groups = []
-    seen = set()
+    by_name = {}
     for d in range(lo, hi + 1):
         key = str(d)
         if key not in groups_raw:
@@ -226,17 +207,18 @@ def _table_from_text(fpath: str, text: str) -> GradedTable:
             gname, order = entry.get("gen"), entry.get("order")
             if not isinstance(gname, str) or type(order) is not int or order < 0:
                 raise TableError(f"table {name}: bad generator {entry!r}")
-            if gname in seen:
+            if gname in by_name:
                 raise TableError(f"duplicate generator name {gname!r}")
-            seen.add(gname)
-            gs.append(Gen(gname, d, idx, order))
+            by_name[gname] = Gen(gname, d, idx, order)
+            gs.append(by_name[gname])
         groups.append(tuple(gs))
     extra = set(groups_raw) - {str(d) for d in range(lo, hi + 1)}
     if extra:
         raise TableError(f"table {name}: degrees {sorted(extra)} outside window")
 
     action: dict = {}
-    table = GradedTable(name, lo, hi, connective, tuple(groups), MappingProxyType(action))
+    table = GradedTable(name, lo, hi, connective, tuple(groups), MappingProxyType(action),
+                        MappingProxyType(by_name))
 
     for entry in action_raw:
         if not isinstance(entry, list) or len(entry) != 3:
@@ -318,7 +300,7 @@ def _audit(table: GradedTable) -> None:
         rhs = table.norm(lhs.degree, [sign * v for v in table.action[(hname, gname)].vector])
         if lhs != rhs:
             raise TableError(f"{gname}*{hname} breaks graded commutativity")
-    names = sorted(table._by_name)
+    names = sorted(table.by_name)
     for x in names:
         for y in names:
             for z in names:
@@ -356,14 +338,10 @@ def element_order(table: GradedTable, spec):
     return result
 
 
-@dataclass(frozen=True)
-class CellComplex:
+class CellComplex(Record):
     """A bottom cell plus one top cell attached by a class of the table."""
-
-    name: str
-    bottom: int
-    top: int
-    attach: tuple  # (mult, gen_name) pairs summing to the attaching class
+    # attach: (mult, gen_name) pairs summing to the attaching class
+    __slots__ = ("name", "bottom", "top", "attach")
 
 
 def complex_load(path: str) -> CellComplex:
@@ -396,8 +374,10 @@ def complex_load(path: str) -> CellComplex:
         raise TableError(f"top cell attaches to cell {max(to)}; only the bottom cell 0 exists")
     if top <= bottom:
         raise TableError(f"top cell degree {top} must exceed bottom cell degree {bottom}")
-    return CellComplex(raw.get("name", os.path.splitext(os.path.basename(fpath))[0]),
-                       bottom, top, attach)
+    name = raw.get("name", os.path.splitext(os.path.basename(fpath))[0])
+    if not isinstance(name, str):
+        raise TableError(f"complex file {fpath}: name must be a JSON string, got {name!r}")
+    return CellComplex(name, bottom, top, attach)
 
 
 def _attaching_class(cplx: CellComplex, table: GradedTable) -> Element:
@@ -414,10 +394,8 @@ def _attaching_class(cplx: CellComplex, table: GradedTable) -> Element:
     return table.norm(adeg, vec)
 
 
-@dataclass(frozen=True)
-class AbGroup:
-    free_rank: int
-    torsion: tuple
+class AbGroup(Record):
+    __slots__ = ("free_rank", "torsion")
 
     @property
     def is_trivial(self) -> bool:
@@ -488,14 +466,10 @@ def _kernel(table: GradedTable, source: int, alpha: Element, target: int) -> AbG
     return AbGroup(free, tuple(torsion))
 
 
-@dataclass(frozen=True)
-class CofiberGroup:
+class CofiberGroup(Record):
     """One homotopy group of a two-cell complex, as the two ends of the LES."""
-
-    complex_name: str
-    degree: int
-    coker: AbGroup  # image of the bottom cell
-    ker: AbGroup  # detected on the top cell
+    # coker: image of the bottom cell; ker: detected on the top cell
+    __slots__ = ("complex_name", "degree", "coker", "ker")
 
     @property
     def ambiguous(self) -> bool:

@@ -11,13 +11,7 @@ failure, 2 on usage or file errors.
 Every command runs in a fresh process, and on most requests the import is
 dearer than the arithmetic, so each command imports only the code it runs:
 this module loads jacobi (for the parser's generator names) and nothing
-else of the library, and every handler imports its own layer. The records
-that jf and genus commands build (JacobiForm, EllipticLawReport,
-QExpansion, ChernData) are genera.values.Record classes, not dataclasses:
-importing dataclasses pulls in inspect, ast, dis and tokenize and costs
-about 6 ms, plus about 0.6 ms per decorated class, on a 2-CPU host where the
-whole `jf gen` request takes about 70 ms. Modules that only their own
-commands load (cells, divis, hodge, acceptance) keep @dataclass.
+else of the library, and every handler imports its own layer.
 """
 
 from __future__ import annotations

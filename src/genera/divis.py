@@ -14,11 +14,10 @@ are the explicit INF singleton; INF divides only 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from genera import jacobi
-from genera.values import INF, divides, value_str
+from genera.values import INF, Record, divides, value_str
 
 
 # ----------------------------------------------------------------------
@@ -83,13 +82,8 @@ def d_ko(k: int):
 # reports
 
 
-@dataclass(frozen=True)
-class DivReport:
-    kind: str
-    k: int
-    value: object
-    sources: tuple
-    agreement: bool
+class DivReport(Record):
+    __slots__ = ("kind", "k", "value", "sources", "agreement")
 
     def to_obj(self) -> dict:
         return {
@@ -113,13 +107,9 @@ def d_clas_report(k: int) -> DivReport:
 # verdicts
 
 
-@dataclass(frozen=True)
-class Verdict:
-    structure: str
-    k: int
-    constant: object  # int, INF, or None when no constraint applies
-    divides: bool
-    note: str
+class Verdict(Record):
+    # constant: int, INF, or None when no constraint applies
+    __slots__ = ("structure", "k", "constant", "divides", "note")
 
     @property
     def ok(self) -> bool:

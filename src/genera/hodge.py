@@ -15,11 +15,11 @@ Euler number: 12 for k = 2, 8 for k = 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from genera import _intlin, jacobi
+from genera.values import Record
 
 
 class HodgeError(ValueError):
@@ -34,12 +34,9 @@ def _fr(x) -> Fraction:
     raise TypeError(f"expected rational, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class AffineExpr:
+class AffineExpr(Record):
     """Rational affine expression in named unknowns; zero terms are pruned."""
-
-    constant: Fraction
-    terms: tuple  # ((name, Fraction), ...) sorted by name
+    __slots__ = ("constant", "terms")  # terms: ((name, Fraction), ...) sorted by name
 
     @staticmethod
     def build(constant=0, terms=None) -> "AffineExpr":
@@ -162,13 +159,9 @@ def cp_expr(k: int, p: int) -> AffineExpr:
     return out
 
 
-@dataclass(frozen=True)
-class ParamForm:
+class ParamForm(Record):
     """Weight-0 form with affine-expression coefficients on a monomial basis."""
-
-    k: int
-    qmax: int
-    terms: tuple  # ((AffineExpr, JacobiForm), ...)
+    __slots__ = ("k", "qmax", "terms")  # terms: ((AffineExpr, JacobiForm), ...)
 
     def q0_coeff(self, R: int) -> AffineExpr:
         out = AffineExpr.const(0)
@@ -231,12 +224,10 @@ _UNKNOWNS = {
 }
 
 
-@dataclass(frozen=True)
-class HodgeSystem:
-    k: int
-    unknowns: tuple
-    equations: tuple  # AffineExpr, each = 0
-    parities: tuple  # (AffineExpr, modulus) pairs, each expr = 0 mod modulus
+class HodgeSystem(Record):
+    # equations: AffineExprs, each = 0; parities: (AffineExpr, modulus) pairs,
+    # each expr = 0 mod modulus
+    __slots__ = ("k", "unknowns", "equations", "parities")
 
     def eliminate(self, name: str, indices=None) -> tuple:
         """Equations with the named unknown eliminated against the first

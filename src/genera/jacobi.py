@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from genera import modular
-from genera.series import LaurentSeries, json_int, require_keys
+from genera.series import LaurentSeries, _build, json_int, require_keys
 from genera.values import Record
 
 GENERATOR_NAMES = ("a", "phi01", "phi032", "phi02", "phi04")
@@ -121,8 +121,7 @@ def _lift(s: LaurentSeries, nvars: int) -> LaurentSeries:
     if s.nvars != 0:
         raise ValueError("lift expects a series with no y-variables")
     zero = (0,) * nvars
-    return LaurentSeries(nvars, s.qmax,
-                         {(n, zero): c for (n, _), c in s.coeffs.items()})
+    return _build(nvars, s.qmax, {(n, zero): c for (n, _), c in s.nums.items()}, s.den)
 
 
 # ----------------------------------------------------------------------
@@ -182,11 +181,11 @@ def _phi032(qmax: int) -> JacobiForm:
 def z_taylor(series: LaurentSeries, i: int) -> LaurentSeries:
     """The x^i Taylor coefficient of f(z + x) for a one-variable f, y = e^z.
 
-    It is D^i f / i! with D = y d/dy: the y^{R/2} term scaled by (R/2)^i / i!.
+    It is D^i f / i! with D = y d/dy: the y^{R/2} term scaled by (R/2)^i / i!,
+    so for i > 0 the R = 0 terms vanish.
     """
-    return LaurentSeries(1, series.qmax, {
-        (n, (R,)): c * Fraction(R ** i, 2 ** i * math.factorial(i))
-        for (n, (R,)), c in series.coeffs.items()})
+    nums = {(n, (R,)): c * R ** i for (n, (R,)), c in series.nums.items() if R or not i}
+    return _build(1, series.qmax, nums, series.den * 2 ** i * math.factorial(i))
 
 
 @lru_cache(maxsize=None)
@@ -244,9 +243,6 @@ def ev_z0(f: JacobiForm) -> modular.QExpansion:
 
 class EllipticLawReport(Record):
     __slots__ = ("lam", "pairs_checked", "violations", "vacuous")
-
-    def __init__(self, lam: int, pairs_checked: int, violations: tuple, vacuous: bool):
-        super().__init__(lam, pairs_checked, violations, vacuous)
 
     @property
     def ok(self) -> bool:

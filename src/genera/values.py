@@ -5,8 +5,7 @@ singleton, serialized as the string "inf", and never a numeric sentinel. The
 only integer INF divides is 0 (an element of infinite order bounds nothing
 except the zero Euler number).
 
-Record is the base of the immutable records that the series commands load
-(see the genera.cli docstring for why they are not dataclasses).
+Record is the base of the package's immutable records.
 """
 
 from __future__ import annotations
@@ -39,18 +38,24 @@ def value_str(v) -> str:
 
 
 class Record:
-    """An immutable record with the semantics of a frozen dataclass.
+    """An immutable record of named fields.
 
-    A subclass lists its fields in __slots__, in constructor order, checks
-    its arguments in its own __init__ and then passes them, in that order, to
-    Record.__init__. Records compare equal only to records of the same class
-    with equal fields, hash their field tuple, print as
-    Name(field=value, ...) and refuse assignment and deletion.
+    A subclass lists its fields in __slots__, in constructor order; they are
+    given by position or by name. It writes an __init__ only to check its
+    arguments, which it then passes, in that order, to Record.__init__.
+    Records compare equal only to records of the same class with equal
+    fields, hash their field tuple, print as Name(field=value, ...) and
+    refuse assignment and deletion.
     """
     __slots__ = ()
 
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
+    def __init__(self, *values, **named):
+        if named:
+            values += tuple(named.pop(name) for name in self.__slots__[len(values):]
+                            if name in named)
+        if named or len(values) != len(self.__slots__):
+            raise TypeError(f"{self.__class__.__name__} takes the fields {self.__slots__}")
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:

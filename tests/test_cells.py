@@ -383,6 +383,8 @@ BAD_COMPLEXES = {
                     "mult must be a JSON integer"),
     "string-to": ({"cells": [{"deg": 0}, {"deg": 4, "attach": dict(NU, to="0")}]},
                   "to must be a JSON integer"),
+    "number-name": ({"name": 5, "cells": [{"deg": 0}, {"deg": 4, "attach": NU}]},
+                    "name must be a JSON string"),
 }
 
 

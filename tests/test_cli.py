@@ -459,3 +459,26 @@ def test_series_commands_import_only_what_they_run(tmp_path):
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got == {"at_import": [], "codes": [0, 0, 0], "dataclasses_after": False}
+
+
+CHECKS_PROBE = """
+import contextlib, io, json, sys
+import genera.cli
+commands = (["cells", "order", "--table", "pi_tmf", "--element", "eta,2*nu"],
+            ["cells", "homotopy", "--complex", "tmf_mod_nu", "--table", "pi_tmf", "--deg", "5"],
+            ["cells", "dsu-easy", "--kmax", "12"],
+            ["divis", "verdict", "--structure", "Sp", "--k", "3", "--euler", "24"],
+            ["divis", "verify-clas", "--kmax", "12"],
+            ["hk", "solve", "--k", "3"])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [genera.cli.main(c) for c in commands]
+print(json.dumps({"codes": codes, "dataclasses_after": "dataclasses" in sys.modules}))
+"""
+
+
+def test_check_commands_never_import_dataclasses():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", CHECKS_PROBE],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0] * 6, "dataclasses_after": False}

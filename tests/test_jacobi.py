@@ -166,6 +166,25 @@ def test_z_taylor():
     assert jacobi.z_taylor(f, 2) == jacobi.z_taylor(jacobi.z_taylor(f, 1), 1) * Fraction(1, 2)
 
 
+def test_z_taylor_and_lift_skip_the_validating_constructor(monkeypatch):
+    f = jacobi.generator("phi01", 4).series * Fraction(1, 3)  # R = 0 terms and a denominator
+    q = jacobi.modular.e4(4).series * Fraction(1, 240)
+    want = [LaurentSeries(1, 4, {(n, (R,)): c * Fraction(R ** i, 2 ** i * math.factorial(i))
+                                 for (n, (R,)), c in f.coeffs.items()}) for i in range(4)]
+    want_lift = LaurentSeries(2, 4, {(n, (0, 0)): c for (n, _), c in q.coeffs.items()})
+    calls = []
+    init = LaurentSeries.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LaurentSeries, "__init__", counted)
+    assert [jacobi.z_taylor(f, i) for i in range(4)] == want
+    assert jacobi._lift(q, 2) == want_lift
+    assert calls == []
+
+
 def test_a_matches_product_formula():
     q = REFERENCE_QMAX
     want = _half_monomials(q, -1) * _product_side(q, 1) * _euler_factor_sq_inv(q)
