@@ -374,6 +374,42 @@ def test_hk_solve_k3(capsys):
     )
 
 
+HK_SOLVE_STDOUT = {
+    2: (
+        '{\n'
+        '  "divisor": "12",\n'
+        '  "k": "2",\n'
+        '  "relations": [\n'
+        '    "Euler - 12*h11 + 6*h12 - 72 = 0",\n'
+        '    "2*Euler + 6*h12 - 3*h22 + 48 = 0",\n'
+        '    "Euler - 4*h11 + 4*h12 - h22 - 8 = 0",\n'
+        '    "8*h11 - 2*h12 - h22 + 64 = 0"\n'
+        '  ]\n'
+        '}\n'
+    ),
+    3: (
+        '{\n'
+        '  "divisor": "8",\n'
+        '  "k": "3",\n'
+        '  "relations": [\n'
+        '    "A - 2*h11 + 2*h12 - h13 + 120 = 0",\n'
+        '    "16*A - Euler - 8*h12 + 8*h22 - 4*h23 + 2072 = 0",\n'
+        '    "12*A + Euler - 4*h13 + 4*h23 - 2*h33 + 1568 = 0",\n'
+        '    "Euler - 4*h11 + 8*h12 - 4*h13 - 4*h22 + 4*h23 - h33 - 12 = 0",\n'
+        '    "7*Euler + 24*h12 - 16*h13 - 24*h22 + 28*h23 - 8*h33 + 56 = 0"\n'
+        '  ]\n'
+        '}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_hk_solve_stdout_is_pinned(capsys, k):
+    # every relation and its exact formatting, byte for byte
+    rc, out, err = run(capsys, "hk", "solve", "--k", str(k))
+    assert (rc, out, err) == (0, HK_SOLVE_STDOUT[k], "")
+
+
 def test_hk_solve_only_known_k(capsys):
     rc, _out, _err = run(capsys, "hk", "solve", "--k", "4")
     assert rc == 2

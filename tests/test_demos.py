@@ -14,15 +14,51 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo):
+def _run_demo(demo):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+    return subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
                           env=env, timeout=120)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    proc = _run_demo(demo)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout
+
+
+HODGE_DEMO_STDOUT = (
+    "k = 2: unknowns h11, h12, h22, Euler\n"
+    "  0 = Euler - 12*h11 + 6*h12 - 72\n"
+    "  0 = 2*Euler + 6*h12 - 3*h22 + 48\n"
+    "  0 = Euler - 4*h11 + 4*h12 - h22 - 8\n"
+    "  eliminating Euler:  0 = 8*h11 - 2*h12 - h22 + 64\n"
+    "  Euler divisor: 12 (with parity), 6 (equations alone)\n"
+    "\n"
+    "k = 3: unknowns h11, h12, h13, h22, h23, h33, Euler, A\n"
+    "  0 = A - 2*h11 + 2*h12 - h13 + 120\n"
+    "  0 = 16*A - Euler - 8*h12 + 8*h22 - 4*h23 + 2072\n"
+    "  0 = 12*A + Euler - 4*h13 + 4*h23 - 2*h33 + 1568\n"
+    "  0 = Euler - 4*h11 + 8*h12 - 4*h13 - 4*h22 + 4*h23 - h33 - 12\n"
+    "  eliminating A from the middle pair:  0 = 7*Euler + 24*h12 - 16*h13 - 24*h22 + 28*h23 - 8*h33 + 56\n"
+    "  Euler divisor: 8 (with parity), 4 (equations alone)\n"
+    "\n"
+    "witness h11=21 h12=0 h22=232 Euler=324 accepted: True\n"
+    "perturbing h22 by one rejected: True\n"
+    "\n"
+    "family points (h11, h12) -> Euler:\n"
+    "  (21, 0) -> Euler =  324  admissible=True  12|Euler=True\n"
+    "  ( 5, 2) -> Euler =  120  admissible=True  12|Euler=True\n"
+    "  ( 0, 0) -> Euler =   72  admissible=True  12|Euler=True\n"
+    "  ( 3, 1) -> Euler =  102  admissible=False  12|Euler=False\n"
+)
+
+
+def test_hodge_demo_stdout_is_pinned():
+    proc = _run_demo(ROOT / "demos" / "05_hodge.py")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, HODGE_DEMO_STDOUT, "")
 
 
 @pytest.mark.parametrize("module", [series, modular, jacobi], ids=lambda m: m.__name__)
