@@ -15,13 +15,14 @@ for k in (2, 3):
     system = hodge.hk_match(k)
     print(f"k = {k}: unknowns {', '.join(system.unknowns)}")
     for eq in system.equations:
-        print(f"  0 = {eq.normalized()}")
+        print(f"  0 = {hodge.relation_str(system.unknowns, eq)}")
     if k == 2:
         (rel,) = system.eliminate("Euler")
-        print(f"  eliminating Euler:  0 = {rel}")
+        print(f"  eliminating Euler:  0 = {hodge.relation_str(system.unknowns, rel)}")
     else:
         for rel in system.eliminate("A", indices=(1, 2)):
-            print(f"  eliminating A from the middle pair:  0 = {rel}")
+            print(f"  eliminating A from the middle pair:  0 = "
+                  f"{hodge.relation_str(system.unknowns, rel)}")
     with_p = hodge.hk_divisibility(k)
     without = hodge.hk_divisibility(k, use_parity=False)
     print(f"  Euler divisor: {with_p} (with parity), {without} (equations alone)")

@@ -13,7 +13,7 @@ against sympy.
 
 from __future__ import annotations
 
-from math import gcd
+from math import prod
 
 
 def identity(n: int) -> list[list[int]]:
@@ -206,21 +206,14 @@ def quotient_presentation(n: int, gens: list[list[int]]):
 def order_in_quotient(n: int, gens: list[list[int]], e: list[int]):
     """Order of e + <gens> in Z^n / <gens>; None means infinite.
 
-    Uses the torsion-size ratio: adjoining e either raises the rank (infinite
-    order) or divides the torsion size by exactly ord(e).
+    Uses the torsion-size ratio: adjoining e either lowers the free rank
+    (infinite order) or divides the torsion size by exactly ord(e).
     """
-    M = from_columns(gens, n) if gens else [[0] for _ in range(n)]
-    diag = snf_diagonal(M) if gens else []
-    M2 = from_columns(gens + [e], n)
-    diag2 = snf_diagonal(M2)
-    if len(diag2) > len(diag):
+    rank, torsion = quotient_presentation(n, gens)
+    rank2, torsion2 = quotient_presentation(n, gens + [e])
+    if rank2 < rank:
         return None
-    t1 = 1
-    for d in diag:
-        t1 *= d
-    t2 = 1
-    for d in diag2:
-        t2 *= d
+    t1, t2 = prod(torsion), prod(torsion2)
     if t1 % t2 != 0:
         raise AssertionError("torsion ratio not integral; broken reduction")
     return t1 // t2

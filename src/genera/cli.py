@@ -219,19 +219,11 @@ def _cmd_hk_solve(args, out) -> int:
     from genera import hodge
 
     system = hodge.hk_match(args.k)
-    relations = [f"{eq.normalized()} = 0" for eq in system.equations]
-    if args.k == 2:
-        derived = system.eliminate("Euler")
-    else:
-        derived = system.eliminate("A", indices=(1, 2))
-    for eq in derived:
-        line = f"{eq.normalized()} = 0"
-        if line not in relations:
-            relations.append(line)
     _emit_json(
         {
             "k": str(args.k),
-            "relations": relations,
+            "relations": [f"{hodge.relation_str(system.unknowns, row)} = 0"
+                          for row in system.equations + system.derived()],
             "divisor": str(hodge.hk_divisibility(args.k)),
         },
         out,

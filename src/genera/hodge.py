@@ -26,104 +26,52 @@ class HodgeError(ValueError):
     pass
 
 
-def _fr(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected rational, got {type(x).__name__}")
+EULER = "Euler"
+
+# A relation over UNKNOWNS[k] is a row of numbers, one per unknown and then the
+# constant term, meaning sum(row[i] * unknown[i]) + row[-1] = 0.
+UNKNOWNS = {
+    2: ("h11", "h12", "h22", EULER),
+    3: ("h11", "h12", "h13", "h22", "h23", "h33", EULER, "A"),
+}
 
 
-class AffineExpr(Record):
-    """Rational affine expression in named unknowns; zero terms are pruned."""
-    __slots__ = ("constant", "terms")  # terms: ((name, Fraction), ...) sorted by name
+def primitive(names: tuple, row) -> tuple:
+    """The integer multiple of a rational relation row whose entries have gcd 1
+    and whose first nonzero coefficient in name order (the constant last) is
+    positive; the zero row stays zero.
 
-    @staticmethod
-    def build(constant=0, terms=None) -> "AffineExpr":
-        cleaned = []
-        for name, c in sorted((terms or {}).items()):
-            c = _fr(c)
-            if c:
-                cleaned.append((name, c))
-        return AffineExpr(_fr(constant), tuple(cleaned))
+    >>> primitive(("x", "y"), (Fraction(-3, 2), 3, Fraction(1, 2)))
+    (3, -6, -1)
+    """
+    den = lcm(*(v.denominator for v in row))
+    ints = [int(v * den) for v in row]
+    g = gcd(*ints)
+    order = sorted(range(len(names)), key=names.__getitem__) + [len(names)]
+    if g and next(ints[i] for i in order if ints[i]) < 0:
+        g = -g
+    return tuple(v // g for v in ints) if g else tuple(ints)
 
-    @staticmethod
-    def const(c) -> "AffineExpr":
-        return AffineExpr.build(c)
 
-    @staticmethod
-    def var(name: str, coeff=1) -> "AffineExpr":
-        return AffineExpr.build(0, {name: coeff})
+def relation_str(names: tuple, row) -> str:
+    """The relation as text, terms in name order and the constant last.
 
-    @property
-    def names(self) -> tuple:
-        return tuple(n for n, _c in self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.constant and not self.terms
-
-    def coeff(self, name: str) -> Fraction:
-        for n, c in self.terms:
-            if n == name:
-                return c
-        return Fraction(0)
-
-    def __add__(self, other: "AffineExpr") -> "AffineExpr":
-        acc = dict(self.terms)
-        for n, c in other.terms:
-            acc[n] = acc.get(n, Fraction(0)) + c
-        return AffineExpr.build(self.constant + other.constant, acc)
-
-    def __neg__(self) -> "AffineExpr":
-        return self.scale(-1)
-
-    def __sub__(self, other: "AffineExpr") -> "AffineExpr":
-        return self + (-other)
-
-    def scale(self, c) -> "AffineExpr":
-        c = _fr(c)
-        return AffineExpr.build(self.constant * c, {n: v * c for n, v in self.terms})
-
-    def evaluate(self, assignment: dict) -> Fraction:
-        out = self.constant
-        for n, c in self.terms:
-            if n not in assignment:
-                raise HodgeError(f"no value for unknown {n!r}")
-            out += c * _fr(assignment[n])
-        return out
-
-    def normalized(self) -> "AffineExpr":
-        """Integer-primitive representative with positive leading coefficient."""
-        vals = [c for _n, c in self.terms] + ([self.constant] if self.constant else [])
-        if not vals:
-            return self
-        mult = Fraction(lcm(*[v.denominator for v in vals]))
-        nums = [abs((v * mult).numerator) for v in vals]
-        mult /= gcd(*nums) if len(nums) > 1 else nums[0]
-        lead = self.terms[0][1] if self.terms else self.constant
-        if lead < 0:
-            mult = -mult
-        return self.scale(mult)
-
-    def __str__(self) -> str:
-        parts = []
-        for n, c in self.terms:
-            if not parts:
-                head = "" if c == 1 else "-" if c == -1 else f"{c}*"
-                parts.append(f"{head}{n}")
-            else:
-                sign = "-" if c < 0 else "+"
-                mag = abs(c)
-                body = n if mag == 1 else f"{mag}*{n}"
-                parts.append(f"{sign} {body}")
-        if self.constant or not parts:
-            if not parts:
-                parts.append(str(self.constant))
-            else:
-                sign = "-" if self.constant < 0 else "+"
-                parts.append(f"{sign} {abs(self.constant)}")
-        return " ".join(parts)
+    >>> system = hk_match(2)
+    >>> [relation_str(system.unknowns, r) for r in system.eliminate(EULER)]
+    ['8*h11 - 2*h12 - h22 + 64']
+    """
+    terms = [(c, name) for name, c in sorted(zip(names, row)) if c]
+    if row[-1] or not terms:
+        terms.append((row[-1], ""))
+    out = ""
+    for c, name in terms:
+        mag = abs(c)
+        body = str(mag) if not name else name if mag == 1 else f"{mag}*{name}"
+        if out:
+            out += f" {'-' if c < 0 else '+'} {body}"
+        else:
+            out = f"{'-' if c < 0 else ''}{body}"
+    return out
 
 
 def hodge_entry(k: int, p: int, q: int):
@@ -146,87 +94,54 @@ def hodge_entry(k: int, p: int, q: int):
     return f"h{a}{b}"
 
 
-def cp_expr(k: int, p: int) -> AffineExpr:
-    """The alternating sum c_p = sum_q (-1)^{p+q} h^{p,q} over the unknowns."""
-    out = AffineExpr.const(0)
+def cp_row(k: int, p: int) -> tuple:
+    """The alternating sum c_p = sum_q (-1)^{p+q} h^{p,q} as a row over UNKNOWNS[k]."""
+    names = UNKNOWNS[k]
+    row = [0] * (len(names) + 1)
     for q in range(0, 2 * k + 1):
         sign = -1 if (p + q) % 2 else 1
         ent = hodge_entry(k, p, q)
         if isinstance(ent, int):
-            out = out + AffineExpr.const(sign * ent)
+            row[-1] += sign * ent
         else:
-            out = out + AffineExpr.var(ent, sign)
-    return out
+            row[names.index(ent)] += sign
+    return tuple(row)
 
 
-class ParamForm(Record):
-    """Weight-0 form with affine-expression coefficients on a monomial basis."""
-    __slots__ = ("k", "qmax", "terms")  # terms: ((AffineExpr, JacobiForm), ...)
-
-    def q0_coeff(self, R: int) -> AffineExpr:
-        out = AffineExpr.const(0)
-        for expr, form in self.terms:
-            out = out + expr.scale(form.series.coeff(0, (R,)))
-        return out
-
-    def ev_expr(self) -> AffineExpr:
-        out = AffineExpr.const(0)
-        for expr, form in self.terms:
-            out = out + expr.scale(jacobi.ev_z0(form).coeff(0))
-        return out
+def _row(k: int, constant, **coeffs) -> tuple:
+    return tuple(coeffs.get(n, 0) for n in UNKNOWNS[k]) + (constant,)
 
 
-EULER = "Euler"
-
-
-def hk_ansatz(k: int, qmax: int = 2) -> ParamForm:
-    """The constrained genus ansatz in the weight-0 monomial basis.
+def hk_ansatz(k: int, qmax: int = 2) -> tuple:
+    """The constrained genus ansatz as (coefficient row, basis form) pairs in
+    the weight-0 monomial basis.
 
     The extreme y-coefficient c_0 = k + 1 pins the leading basis coefficient;
     the remaining coefficients carry the Euler number (and A for k = 3, where
     the index-3 slot is completed by the square of the odd generator).
     """
-    e = AffineExpr.var(EULER)
     if k == 2:
         p1 = jacobi.generator("phi01", qmax)
         p2 = jacobi.generator("phi02", qmax)
-        return ParamForm(
-            2,
-            qmax,
-            (
-                (AffineExpr.const(3), p1 * p1),
-                (e.scale(Fraction(1, 6)) + AffineExpr.const(-72), p2),
-            ),
+        return (
+            (_row(2, 3), p1 * p1),
+            (_row(2, -72, Euler=Fraction(1, 6)), p2),
         )
     if k == 3:
         p1 = jacobi.generator("phi01", qmax)
         p2 = jacobi.generator("phi02", qmax)
         p32 = jacobi.generator("phi032", qmax)
-        a = AffineExpr.var("A")
-        return ParamForm(
-            3,
-            qmax,
-            (
-                (AffineExpr.const(4), p1 * p1 * p1),
-                (a, p1 * p2),
-                (
-                    e.scale(Fraction(1, 4)) + a.scale(-18) + AffineExpr.const(-1728),
-                    p32 * p32,
-                ),
-            ),
+        return (
+            (_row(3, 4), p1 * p1 * p1),
+            (_row(3, 0, A=1), p1 * p2),
+            (_row(3, -1728, Euler=Fraction(1, 4), A=-18), p32 * p32),
         )
     raise HodgeError(f"no ansatz for k = {k}; only k = 2 and 3 are worked out")
 
 
-_UNKNOWNS = {
-    2: ("h11", "h12", "h22", EULER),
-    3: ("h11", "h12", "h13", "h22", "h23", "h33", EULER, "A"),
-}
-
-
 class HodgeSystem(Record):
-    # equations: AffineExprs, each = 0; parities: (AffineExpr, modulus) pairs,
-    # each expr = 0 mod modulus
+    # equations: primitive relation rows over unknowns, each = 0; parities:
+    # (row, modulus) pairs, each row's value = 0 mod modulus
     __slots__ = ("k", "unknowns", "equations", "parities")
 
     def eliminate(self, name: str, indices=None) -> tuple:
@@ -234,36 +149,41 @@ class HodgeSystem(Record):
         equation that contains it; identically-zero results are dropped.
         `indices` restricts the elimination to a subset of the equations."""
         chosen = self.equations if indices is None else tuple(self.equations[i] for i in indices)
-        pivot = None
-        rest = []
-        for eq in chosen:
-            if pivot is None and eq.coeff(name):
-                pivot = eq
-            else:
-                rest.append(eq)
-        if pivot is None:
+        j = self.unknowns.index(name) if name in self.unknowns else None
+        at = next((i for i, eq in enumerate(chosen) if j is not None and eq[j]), None)
+        if at is None:
             return chosen
-        pc = pivot.coeff(name)
+        pivot = chosen[at]
         out = []
-        for eq in rest:
-            c = eq.coeff(name)
-            reduced = eq - pivot.scale(c / pc) if c else eq
-            if not reduced.is_zero:
-                norm = reduced.normalized()
-                if norm not in out:  # dependent equations collapse to copies
-                    out.append(norm)
+        for eq in chosen[:at] + chosen[at + 1:]:
+            reduced = [pivot[j] * a - eq[j] * b for a, b in zip(eq, pivot)]
+            if any(reduced):
+                row = primitive(self.unknowns, reduced)
+                if row not in out:  # dependent equations collapse to copies
+                    out.append(row)
         return tuple(out)
+
+    def derived(self) -> tuple:
+        """The relations `hk solve` adds to the equations: Euler eliminated at
+        k = 2, A eliminated from equations 1 and 2 at k = 3."""
+        if self.k == 2:
+            rows = self.eliminate(EULER)
+        else:
+            rows = self.eliminate("A", indices=(1, 2))
+        return tuple(row for row in rows if row not in self.equations)
 
     def check(self, assignment: dict) -> bool:
         """Whether an integer assignment satisfies all equations and parities."""
-        for eq in self.equations:
-            if eq.evaluate(assignment) != 0:
-                return False
-        for expr, mod in self.parities:
-            v = expr.evaluate(assignment)
-            if v.denominator != 1 or v.numerator % mod:
-                return False
-        return True
+        for n in self.unknowns:
+            if n not in assignment:
+                raise HodgeError(f"no value for unknown {n!r}")
+        point = [assignment[n] for n in self.unknowns] + [1]
+
+        def value(row):
+            return sum(c * v for c, v in zip(row, point))
+
+        return (all(value(eq) == 0 for eq in self.equations)
+                and all(value(row) % mod == 0 for row, mod in self.parities))
 
 
 def hk_match(k: int, qmax: int = 2) -> HodgeSystem:
@@ -275,61 +195,50 @@ def hk_match(k: int, qmax: int = 2) -> HodgeSystem:
     also 2 | h12 + h23 from 4 | b_5.
     """
     ansatz = hk_ansatz(k, qmax)
-    top = cp_expr(k, 0) - ansatz.q0_coeff(2 * k)
-    if not top.is_zero:
-        raise HodgeError(f"leading coefficient mismatch at k = {k}: {top}")
-    equations = []
-    for p in range(1, k + 1):
-        # y-power k - p, doubled exponent 2(k - p)
-        equations.append(cp_expr(k, p) - ansatz.q0_coeff(2 * (k - p)))
-    total = AffineExpr.var(EULER, -1)
-    for p in range(0, 2 * k + 1):
-        total = total + cp_expr(k, p)
-    equations.append(total)
-    parities = [(AffineExpr.var("h12"), 2)]
+    names = UNKNOWNS[k]
+
+    def match(p):
+        # c_p minus the ansatz's q^0 coefficient of y^{k-p} (doubled exponent 2(k-p))
+        row = cp_row(k, p)
+        for coeffs, form in ansatz:
+            c = form.series.coeff(0, (2 * (k - p),))
+            row = tuple(a - c * b for a, b in zip(row, coeffs))
+        return row
+
+    top = match(0)
+    if any(top):
+        raise HodgeError(f"leading coefficient mismatch at k = {k}: {relation_str(names, top)}")
+    equations = [primitive(names, match(p)) for p in range(1, k + 1)]
+    total = [sum(col) for col in zip(*(cp_row(k, p) for p in range(0, 2 * k + 1)))]
+    total[names.index(EULER)] -= 1
+    equations.append(primitive(names, total))
+    parities = [(_row(k, 0, h12=1), 2)]
     if k == 3:
-        parities.append((AffineExpr.var("h12") + AffineExpr.var("h23"), 2))
-    return HodgeSystem(k, _UNKNOWNS[k], tuple(equations), tuple(parities))
-
-
-def _integer_rows(system: HodgeSystem, use_parity: bool):
-    slack = [f"t{i + 1}" for i in range(len(system.parities))] if use_parity else []
-    unknowns = list(system.unknowns) + slack
-    rows, rhs = [], []
-
-    def add_row(expr: AffineExpr):
-        mult = lcm(*[c.denominator for c in [expr.constant, *(c for _n, c in expr.terms)]])
-        row = [0] * len(unknowns)
-        for n, c in expr.terms:
-            row[unknowns.index(n)] = int(c * mult)
-        rows.append(row)
-        rhs.append(int(-expr.constant * mult))
-
-    for eq in system.equations:
-        add_row(eq)
-    if use_parity:
-        for i, (expr, mod) in enumerate(system.parities):
-            add_row(expr + AffineExpr.var(f"t{i + 1}", -mod))
-    return unknowns, rows, rhs
+        parities.append((_row(k, 0, h12=1, h23=1), 2))
+    return HodgeSystem(k, names, tuple(equations), tuple(parities))
 
 
 def hk_divisibility(k: int, use_parity: bool = True) -> int:
     """The divisor of the Euler number forced by the integer solution set.
 
-    Clears denominators, turns each parity fact into a slack-variable
-    equation, and reads the achievable Euler values off a particular solution
-    plus the solution lattice.
+    Turns each parity fact into an equation with its own slack column and
+    reads the achievable Euler values off a particular solution plus the
+    solution lattice.
     """
     system = hk_match(k)
-    unknowns, rows, rhs = _integer_rows(system, use_parity)
+    parities = system.parities if use_parity else ()
+    m = len(parities)
+    rows = [list(eq[:-1]) + [0] * m for eq in system.equations]
+    rhs = [-eq[-1] for eq in system.equations]
+    for i, (row, mod) in enumerate(parities):
+        rows.append(list(row[:-1]) + [-mod if t == i else 0 for t in range(m)])
+        rhs.append(-row[-1])
     solved = _intlin.solve_affine(rows, rhs)
     if solved is None:
         raise HodgeError(f"no integer solutions for k = {k}")
     x0, kernel = solved
-    ei = unknowns.index(EULER)
-    g = abs(x0[ei])
-    for v in kernel:
-        g = gcd(g, abs(v[ei]))
+    ei = system.unknowns.index(EULER)
+    g = gcd(x0[ei], *(v[ei] for v in kernel))
     if g == 0:
         raise HodgeError("Euler number vanishes identically; no divisor to report")
     return g

@@ -66,10 +66,11 @@ def coeff_to_str(c: Fraction) -> str:
 
 
 def coeff_from_str(s) -> Fraction:
-    # Lenient on input: accept ints too. Output is always strings.
-    if isinstance(s, int):
-        return Fraction(s)
-    return Fraction(str(s))
+    """A JSON integer, or a string read by Fraction; bools, floats and other
+    JSON values raise ValueError."""
+    if type(s) is not int and not isinstance(s, str):
+        raise ValueError(f"term coefficient must be a JSON integer or string, got {s!r}")
+    return Fraction(s)
 
 
 def json_int(what: str, value) -> int:

@@ -112,6 +112,19 @@ def test_jf_check_rejects_malformed_json(tmp_path, capsys):
         assert rc == 2 and out == "" and what in err
 
 
+@pytest.mark.parametrize("value", [True, 0.30000000000000004, None, [1], {"n": 1}],
+                         ids=["bool", "float", "null", "list", "object"])
+def test_jf_check_rejects_coefficient_of_wrong_type(tmp_path, capsys, value):
+    rc, out, _ = run(capsys, "jf", "gen", "phi01", "--qmax", "1")
+    obj = json.loads(out)
+    obj["terms"][0][2] = value
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "jf", "check", str(f))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "coefficient" in err
+
+
 @pytest.mark.parametrize("argv", [("jf", "gen", "a"),
                                   ("genus", "compute", "--chern", "point1")])
 def test_qmax_cap(tmp_path, capsys, argv):

@@ -1,55 +1,37 @@
-"""Hodge-number elimination for the hyperkaehler genus ansatz."""
+"""Hodge-number relation rows and elimination for the hyperkaehler genus ansatz."""
 
 from fractions import Fraction
 
 import pytest
 
-from genera import hodge
-from genera.hodge import AffineExpr
+from genera import hodge, jacobi
+from genera.hodge import primitive, relation_str
+
+K2 = hodge.UNKNOWNS[2]  # h11, h12, h22, Euler
 
 
-# ---------------------------------------------------------------- AffineExpr
-
-
-def test_affine_construction():
-    e = AffineExpr.build(3, {"x": 2, "y": 0})
-    assert e.constant == 3
-    assert e.terms == (("x", Fraction(2)),)  # zero coefficients pruned
-    assert e.names == ("x",)
-    assert e.coeff("x") == 2
-    assert e.coeff("missing") == 0
-    assert AffineExpr.const(0).is_zero
-    assert not AffineExpr.var("x").is_zero
-
-
-def test_affine_arithmetic():
-    x, y = AffineExpr.var("x"), AffineExpr.var("y")
-    e = x.scale(2) + y - AffineExpr.const(5)
-    assert e == AffineExpr.build(-5, {"x": 2, "y": 1})
-    assert (e - e).is_zero
-    assert -e == e.scale(-1)
-    assert e.evaluate({"x": 4, "y": 1}) == 4
-    with pytest.raises(hodge.HodgeError):
-        e.evaluate({"x": 4})
+# ---------------------------------------------------------------- relation rows
 
 
 def test_affine_normalized():
-    e = AffineExpr.build(Fraction(1, 2), {"x": Fraction(-3, 2), "y": 3})
-    n = e.normalized()
-    # primitive integer coefficients, positive leading term
-    assert n == AffineExpr.build(-1, {"x": 3, "y": -6})
-    assert AffineExpr.const(0).normalized().is_zero
-    assert AffineExpr.const(-6).normalized() == AffineExpr.const(1)
+    # primitive integer coefficients, positive first coefficient in name order
+    assert primitive(("x", "y"), (Fraction(-3, 2), 3, Fraction(1, 2))) == (3, -6, -1)
+    assert primitive(("y", "x"), (3, Fraction(-3, 2), Fraction(1, 2))) == (-6, 3, -1)
+    assert primitive(("x",), (0, 0)) == (0, 0)
+    assert primitive(("x",), (0, -6)) == (0, 1)
+    assert primitive(K2, (16, -4, -2, 0, 128)) == (8, -2, -1, 0, 64)
 
 
 def test_affine_str():
-    assert str(AffineExpr.const(0)) == "0"
-    assert str(AffineExpr.var("h11")) == "h11"
-    assert str(AffineExpr.var("h11", -1)) == "-h11"
-    assert str(AffineExpr.build(64, {"h11": 8, "h12": -2, "h22": -1})) == (
-        "8*h11 - 2*h12 - h22 + 64"
-    )
-    assert str(AffineExpr.build(-4, {"x": 1})) == "x - 4"
+    assert relation_str(K2, (0, 0, 0, 0, 0)) == "0"
+    assert relation_str(K2, (1, 0, 0, 0, 0)) == "h11"
+    assert relation_str(K2, (-1, 0, 0, 0, 0)) == "-h11"
+    assert relation_str(K2, (8, -2, -1, 0, 64)) == "8*h11 - 2*h12 - h22 + 64"
+    assert relation_str(("x",), (1, -4)) == "x - 4"
+    assert relation_str(("x",), (0, -6)) == "-6"
+    # terms in name order, not in row order
+    assert relation_str(K2, (-12, 6, 0, 1, -72)) == "Euler - 12*h11 + 6*h12 - 72"
+    assert relation_str(("x", "y"), (Fraction(1, 6), Fraction(-3, 2), 0)) == "1/6*x - 3/2*y"
 
 
 # ---------------------------------------------------------------- entries
@@ -82,26 +64,38 @@ def test_hodge_entry_range():
         hodge.hodge_entry(2, 0, -1)
 
 
-def test_cp_expr():
-    assert hodge.cp_expr(2, 0) == AffineExpr.const(3)
-    assert hodge.cp_expr(2, 1) == AffineExpr.build(0, {"h11": 2, "h12": -1})
-    assert hodge.cp_expr(2, 2) == AffineExpr.build(2, {"h12": -2, "h22": 1})
-    assert hodge.cp_expr(2, 3) == hodge.cp_expr(2, 1)
-    assert hodge.cp_expr(2, 4) == hodge.cp_expr(2, 0)
+def test_cp_row():
+    assert hodge.cp_row(2, 0) == (0, 0, 0, 0, 3)
+    assert hodge.cp_row(2, 1) == (2, -1, 0, 0, 0)
+    assert hodge.cp_row(2, 2) == (0, -2, 1, 0, 2)
+    assert hodge.cp_row(2, 3) == hodge.cp_row(2, 1)
+    assert hodge.cp_row(2, 4) == hodge.cp_row(2, 0)
 
 
 # ---------------------------------------------------------------- ansatz
 
 
+def _ansatz_value(k, coeff_of_form):
+    # sum of coeff_of_form(form) * coefficient row over the ansatz pairs
+    out = [0] * (len(hodge.UNKNOWNS[k]) + 1)
+    for row, form in hodge.hk_ansatz(k):
+        c = coeff_of_form(form)
+        out = [a + c * b for a, b in zip(out, row)]
+    return tuple(out)
+
+
 def test_ansatz_pins_leading_coefficient():
-    assert hodge.hk_ansatz(2).q0_coeff(4) == AffineExpr.const(3)
-    assert hodge.hk_ansatz(3).q0_coeff(6) == AffineExpr.const(4)
+    # the q^0 y^{2k} coefficient is the constant k + 1
+    for k in (2, 3):
+        top = _ansatz_value(k, lambda form: form.series.coeff(0, (2 * k,)))
+        assert top == (0,) * len(hodge.UNKNOWNS[k]) + (k + 1,)
 
 
 def test_ansatz_ev_is_euler():
     # y = 1 evaluation of the ansatz collapses to the Euler unknown alone
-    assert hodge.hk_ansatz(2).ev_expr() == AffineExpr.var("Euler")
-    assert hodge.hk_ansatz(3).ev_expr() == AffineExpr.var("Euler")
+    for k in (2, 3):
+        ev = _ansatz_value(k, lambda form: jacobi.ev_z0(form).coeff(0))
+        assert ev == tuple(int(n == "Euler") for n in hodge.UNKNOWNS[k]) + (0,)
 
 
 def test_ansatz_only_known_cases():
@@ -117,37 +111,41 @@ def test_ansatz_only_known_cases():
 def test_k2_equations():
     sys2 = hodge.hk_match(2)
     assert sys2.unknowns == ("h11", "h12", "h22", "Euler")
-    assert [str(e.normalized()) for e in sys2.equations] == [
+    assert [relation_str(K2, e) for e in sys2.equations] == [
         "Euler - 12*h11 + 6*h12 - 72",
         "2*Euler + 6*h12 - 3*h22 + 48",
         "Euler - 4*h11 + 4*h12 - h22 - 8",
     ]
+    assert all(primitive(K2, e) == e for e in sys2.equations)
     # the total-Euler equation is dependent on the two coefficient matches
-    dep = sys2.equations[2] - sys2.equations[0].scale(2) - sys2.equations[1]
-    assert dep.is_zero
-    assert sys2.parities == ((AffineExpr.var("h12"), 2),)
+    e0, e1, e2 = sys2.equations
+    assert [a + b - 3 * c for a, b, c in zip(e0, e1, e2)] == [0] * 5
+    assert sys2.parities == (((0, 1, 0, 0, 0), 2),)
 
 
 def test_k2_euler_elimination():
     rels = hodge.hk_match(2).eliminate("Euler")
     assert len(rels) == 1
-    assert str(rels[0]) == "8*h11 - 2*h12 - h22 + 64"
-    assert rels[0] == AffineExpr.build(64, {"h11": 8, "h12": -2, "h22": -1}).normalized()
+    assert relation_str(K2, rels[0]) == "8*h11 - 2*h12 - h22 + 64"
+    assert rels[0] == (8, -2, -1, 0, 64)
+    assert hodge.hk_match(2).derived() == rels
 
 
 def test_k3_equations():
     sys3 = hodge.hk_match(3)
     assert sys3.unknowns == ("h11", "h12", "h13", "h22", "h23", "h33", "Euler", "A")
     assert len(sys3.equations) == 4
-    assert str(sys3.equations[0].normalized()) == "A - 2*h11 + 2*h12 - h13 + 120"
-    assert sys3.parities[1] == (AffineExpr.var("h12") + AffineExpr.var("h23"), 2)
+    assert relation_str(sys3.unknowns, sys3.equations[0]) == "A - 2*h11 + 2*h12 - h13 + 120"
+    assert sys3.parities[1] == ((0, 1, 0, 0, 1, 0, 0, 0, 0), 2)
 
 
 def test_k3_middle_elimination():
-    rels = hodge.hk_match(3).eliminate("A", indices=(1, 2))
-    assert [str(r) for r in rels] == [
+    sys3 = hodge.hk_match(3)
+    rels = sys3.eliminate("A", indices=(1, 2))
+    assert [relation_str(sys3.unknowns, r) for r in rels] == [
         "7*Euler + 24*h12 - 16*h13 - 24*h22 + 28*h23 - 8*h33 + 56"
     ]
+    assert sys3.derived() == rels
 
 
 def test_eliminate_absent_name_returns_input():
@@ -185,8 +183,13 @@ def test_parity_rejects_separately():
     sys2 = hodge.hk_match(2)
     odd = _k2_point(21, 1)
     # every equation holds, only the parity constraint fails
-    assert all(eq.evaluate(odd) == 0 for eq in sys2.equations)
+    assert hodge.HodgeSystem(2, K2, sys2.equations, ()).check(odd)
     assert not sys2.check(odd)
+
+
+def test_check_needs_every_unknown():
+    with pytest.raises(hodge.HodgeError):
+        hodge.hk_match(2).check({"h11": 21, "h12": 0, "h22": 232})
 
 
 def test_family_euler_divisibility():

@@ -4,10 +4,8 @@ import pathlib
 
 import pytest
 
-from genera import cells, divis, hodge, jacobi
+from genera import cells, divis, hodge
 from genera._data import resolve_data
-
-Expr = hodge.AffineExpr
 
 # builder (called twice for an equal copy), and the exact repr
 SAMPLES = {
@@ -30,16 +28,10 @@ SAMPLES = {
     "Verdict": (lambda: divis.euler_verdict("SO", 4, 7),
                 "Verdict(structure='SO', k=4, constant=None, divides=True, "
                 "note='no constraint at this dimension')"),
-    "ParamForm": (
-        lambda: hodge.ParamForm(2, 0, ((Expr.const(3), jacobi.generator("phi01", 0)),)),
-        "ParamForm(k=2, qmax=0, terms=((AffineExpr(constant=Fraction(3, 1), terms=()), "
-        "JacobiForm(weight2=0, index2=2, series=<series nvars=1 qmax=0: y^-1 + 10 + y>)),))"),
     "HodgeSystem": (
-        lambda: hodge.HodgeSystem(2, ("h12", "Euler"), (Expr.var("h12") - Expr.var("Euler"),),
-                                  ((Expr.var("h12"), 2),)),
-        "HodgeSystem(k=2, unknowns=('h12', 'Euler'), equations=(AffineExpr("
-        "constant=Fraction(0, 1), terms=(('Euler', Fraction(-1, 1)), ('h12', Fraction(1, 1)))),), "
-        "parities=((AffineExpr(constant=Fraction(0, 1), terms=(('h12', Fraction(1, 1)),)), 2),))"),
+        lambda: hodge.HodgeSystem(2, ("h12", "Euler"), ((1, -1, 0),), (((1, 0, 0), 2),)),
+        "HodgeSystem(k=2, unknowns=('h12', 'Euler'), equations=((1, -1, 0),), "
+        "parities=(((1, 0, 0), 2),))"),
 }
 
 
