@@ -71,6 +71,24 @@ def test_jf_check_flags_corruption(tmp_path, capsys):
     assert rep["violations"]
 
 
+def test_jf_check_prints_fractional_violations_as_p_over_q(tmp_path, capsys):
+    obj = {"weight2": -2, "index2": 2, "nvars": 1, "qmax": 2, "integral": False,
+           "terms": [[0, [0], "3/4"], [1, [2], "-5"]]}
+    f = tmp_path / "frac.json"
+    f.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "jf", "check", str(f))
+    assert (rc, err) == (1, "")
+    assert json.loads(out) == {
+        "lambda": "1",
+        "ok": False,
+        "pairs_checked": "3",
+        "vacuous": False,
+        "violations": [["0", "0", "1", "4", "3/4", "0"],
+                       ["1", "-4", "0", "0", "0", "3/4"],
+                       ["1", "-2", "1", "2", "0", "-5"]],
+    }
+
+
 def test_jf_check_rejects_lambda_zero(tmp_path, capsys):
     # lambda = 0 maps each coefficient onto itself: a corrupted file would
     # pass it, so it is a usage error rather than an "ok" report
