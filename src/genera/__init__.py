@@ -16,7 +16,4 @@ Everything is exact: integers and fractions.Fraction, and no floats enter
 any advertised result.
 """
 
-from genera.series import LaurentSeries
-
-__all__ = ["LaurentSeries"]
 __version__ = "0.1.0"

@@ -30,8 +30,7 @@ from types import MappingProxyType
 
 from genera import _intlin
 from genera._data import resolve_data
-from genera.series import json_int
-from genera.values import INF, Record, value_str
+from genera.values import INF, Record, json_int, value_str
 
 
 class TableError(ValueError):

@@ -9,9 +9,10 @@ Exit codes: 0 on success, 1 when a verification-style command finds a
 failure, 2 on usage or file errors.
 
 Every command runs in a fresh process, and on most requests the import is
-dearer than the arithmetic, so each command imports only the code it runs:
-this module loads jacobi (for the parser's generator names) and nothing
-else of the library, and every handler imports its own layer.
+dearer than the arithmetic, so each command pays only for itself: this
+module loads no layer of the library (only values and _data), every handler
+imports its own layer, and the parser gets subcommands only for the group
+that argv names.
 """
 
 from __future__ import annotations
@@ -20,9 +21,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
-
-from genera import jacobi
 from genera._data import resolve_data
 from genera.values import value_str
 
@@ -72,19 +70,6 @@ def _emit_json(obj, stream) -> None:
     stream.write("\n")
 
 
-def _str_leaves(x):
-    """Copy a report structure with every numeric leaf as a decimal string."""
-    if isinstance(x, bool):
-        return x
-    if isinstance(x, (int, Fraction)) or x is None:
-        return value_str(x) if x is not None else None
-    if isinstance(x, (list, tuple)):
-        return [_str_leaves(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _str_leaves(v) for k, v in x.items()}
-    return x
-
-
 def _print_rows(rows, fmt: str, stream) -> None:
     """Render a list of uniform string-valued dicts as json, csv, or md."""
     if fmt == "json":
@@ -112,12 +97,16 @@ def _load_json_file(path: str):
 
 
 def _cmd_jf_gen(args, out) -> int:
+    from genera import jacobi
+
     f = jacobi.generator(args.name, args.qmax)
     _emit_json(f.to_obj(), out)
     return 0
 
 
 def _cmd_jf_check(args, out) -> int:
+    from genera import jacobi
+
     f = jacobi.JacobiForm.from_obj(_load_json_file(args.file))
     rep = jacobi.check_elliptic_law(f, args.lam)
     _emit_json(
@@ -126,7 +115,8 @@ def _cmd_jf_check(args, out) -> int:
             "pairs_checked": value_str(rep.pairs_checked),
             "vacuous": rep.vacuous,
             "ok": rep.ok,
-            "violations": _str_leaves(list(rep.violations)),
+            # integer positions and Fraction coefficients, "p/q" when not integral
+            "violations": [[str(v) for v in row] for row in rep.violations],
         },
         out,
     )
@@ -246,23 +236,12 @@ def _add_format(parser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="genera",
-        description="Exact Jacobi-form series, elliptic genera, divisibility "
-        "constants, cell-complex homotopy windows, and Hodge-number systems.",
-    )
-    p.add_argument(
-        "--data-dir",
-        help="directory searched for named tables and fixtures "
-        "(same effect as GENERA_DATA_DIR)",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
+def _jf_commands(group) -> None:
+    from genera.jacobi import GENERATOR_NAMES
 
-    jf = sub.add_parser("jf", help="Jacobi form generators and checks")
-    jfsub = jf.add_subparsers(dest="subcommand", required=True)
+    jfsub = group.add_subparsers(dest="subcommand", required=True)
     gen = jfsub.add_parser("gen", help="print a ring generator as JSON")
-    gen.add_argument("name", choices=jacobi.GENERATOR_NAMES)
+    gen.add_argument("name", choices=GENERATOR_NAMES)
     gen.add_argument("--qmax", type=_qmax, default=10,
                      help=f"highest q-power kept, 0..{QMAX_CAP} (default 10)")
     gen.set_defaults(func=_cmd_jf_gen)
@@ -271,8 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--lambda", dest="lam", type=int, default=1)
     chk.set_defaults(func=_cmd_jf_check)
 
-    gn = sub.add_parser("genus", help="elliptic genus from Chern numbers")
-    gnsub = gn.add_subparsers(dest="subcommand", required=True)
+
+def _genus_commands(group) -> None:
+    gnsub = group.add_subparsers(dest="subcommand", required=True)
     comp = gnsub.add_parser("compute", help="print the genus as JSON")
     comp.add_argument("--chern", required=True, help="Chern-number file or fixture name")
     comp.add_argument("--nvars", type=_nvars, default=1,
@@ -284,8 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     eul.add_argument("--chern", required=True, help="Chern-number file or fixture name")
     eul.set_defaults(func=_cmd_genus_euler)
 
-    dv = sub.add_parser("divis", help="divisibility constants")
-    dvsub = dv.add_subparsers(dest="subcommand", required=True)
+
+def _divis_commands(group) -> None:
+    dvsub = group.add_subparsers(dest="subcommand", required=True)
     tab = dvsub.add_parser("table", help="print all four families for k = 1..kmax")
     tab.add_argument("--kmax", type=_positive, required=True)
     _add_format(tab)
@@ -302,8 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     vd.add_argument("--euler", type=int, required=True)
     vd.set_defaults(func=_cmd_divis_verdict)
 
-    cl = sub.add_parser("cells", help="cell complexes over coefficient tables")
-    clsub = cl.add_subparsers(dest="subcommand", required=True)
+
+def _cells_commands(group) -> None:
+    clsub = group.add_subparsers(dest="subcommand", required=True)
     hom = clsub.add_parser("homotopy", help="homotopy of a cofiber in one degree")
     hom.add_argument("--complex", required=True, help="cell-complex file or name")
     hom.add_argument("--table", required=True, help="coefficient-table file or name")
@@ -322,20 +304,58 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(dse)
     dse.set_defaults(func=_cmd_cells_dsu_easy)
 
-    hk = sub.add_parser("hk", help="hyperkahler Hodge-number systems")
-    hksub = hk.add_subparsers(dest="subcommand", required=True)
+
+def _hk_commands(group) -> None:
+    hksub = group.add_subparsers(dest="subcommand", required=True)
     slv = hksub.add_parser("solve", help="match equations, derived relation, Euler divisor")
     slv.add_argument("--k", type=int, choices=(2, 3), required=True)
     slv.set_defaults(func=_cmd_hk_solve)
 
-    st = sub.add_parser("selftest", help="run the full acceptance suite")
-    st.set_defaults(func=_cmd_selftest)
 
+def _selftest_commands(group) -> None:
+    group.set_defaults(func=_cmd_selftest)
+
+
+# name -> (help, function that adds the group's subcommands)
+_GROUPS = {
+    "jf": ("Jacobi form generators and checks", _jf_commands),
+    "genus": ("elliptic genus from Chern numbers", _genus_commands),
+    "divis": ("divisibility constants", _divis_commands),
+    "cells": ("cell complexes over coefficient tables", _cells_commands),
+    "hk": ("hyperkahler Hodge-number systems", _hk_commands),
+    "selftest": ("run the full acceptance suite", _selftest_commands),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The full parser, or for an argv only the groups it names.
+
+    argparse enters a group only when argv holds its name as an exact token,
+    so a group named by no token needs no subcommands: help, usage errors and
+    parse results are the same as with every group built.
+    """
+    p = argparse.ArgumentParser(
+        prog="genera",
+        description="Exact Jacobi-form series, elliptic genera, divisibility "
+        "constants, cell-complex homotopy windows, and Hodge-number systems.",
+    )
+    p.add_argument(
+        "--data-dir",
+        help="directory searched for named tables and fixtures "
+        "(same effect as GENERA_DATA_DIR)",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_, add_commands) in _GROUPS.items():
+        group = sub.add_parser(name, help=help_)
+        if argv is None or name in argv:
+            add_commands(group)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from math import gcd
 
-from genera import jacobi
 from genera.values import INF, Record, divides, value_str
 
 
@@ -96,6 +95,8 @@ class DivReport(Record):
 
 
 def d_clas_report(k: int) -> DivReport:
+    from genera import jacobi  # loads the series layer, which nothing else here needs
+
     closed = d_clas(k)
     g = jacobi.dclas_gcd_via_basis(k)
     basis = INF if g is None else g

@@ -47,8 +47,8 @@ from operator import mul
 
 from genera.jacobi import JacobiForm, generator_a, z_taylor
 from genera.modular import sigma
-from genera.series import LaurentSeries, json_int
-from genera.values import Record
+from genera.series import LaurentSeries
+from genera.values import Record, json_int
 
 
 class ChernDataError(ValueError):

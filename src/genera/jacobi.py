@@ -35,8 +35,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from genera import modular
-from genera.series import LaurentSeries, _build, json_int, require_keys
-from genera.values import Record
+from genera.series import LaurentSeries, _build
+from genera.values import Record, json_int, require_keys
 
 GENERATOR_NAMES = ("a", "phi01", "phi032", "phi02", "phi04")
 
@@ -332,18 +332,25 @@ _TWOS = (2, 1, 1, 0)
 _THREES = (1, 0, 1, 1)
 
 
+# costs -> list whose entry t is the least cost of total t, None when no
+# exponents reach t; each table grows only past the largest total asked for
+_COIN_TABLES: dict[tuple, list] = {}
+
+
 def _least_cost(k: int, costs: tuple) -> int | None:
     """Least sum of costs[i] * e_i over exponents with sum of _PARTS[i] * e_i = k.
 
-    A min-cost coin problem, solved for every total 0..k in turn; None when
-    no exponents reach k.
+    A min-cost coin problem, solved for every total 0..k in turn and kept for
+    later calls; None when no exponents reach k.
     """
-    best = {0: 0}
-    for total in range(1, k + 1):
-        found = [best[total - p] + c for p, c in zip(_PARTS, costs) if total - p in best]
-        if found:
-            best[total] = min(found)
-    return best.get(k)
+    if k < 0:
+        return None
+    best = _COIN_TABLES.setdefault(costs, [0])
+    for total in range(len(best), k + 1):
+        found = [best[total - p] + c for p, c in zip(_PARTS, costs)
+                 if total >= p and best[total - p] is not None]
+        best.append(min(found, default=None))
+    return best[k]
 
 
 def dclas_gcd_via_basis(k: int):

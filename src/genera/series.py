@@ -54,6 +54,8 @@ import math
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 
+from genera.values import json_int, require_keys
+
 # Dense packing is used while (product slots) <= MAX_SLOTS_PER_PAIR * #a * #b.
 MAX_SLOTS_PER_PAIR = 16
 
@@ -71,22 +73,6 @@ def coeff_from_str(s) -> Fraction:
     if type(s) is not int and not isinstance(s, str):
         raise ValueError(f"term coefficient must be a JSON integer or string, got {s!r}")
     return Fraction(s)
-
-
-def json_int(what: str, value) -> int:
-    """value itself if it is a JSON integer; bools, floats and strings raise ValueError."""
-    if type(value) is not int:
-        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
-    return value
-
-
-def require_keys(obj, *keys) -> None:
-    """Raise ValueError unless obj is a JSON object holding every key."""
-    if not isinstance(obj, Mapping):
-        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-    missing = [k for k in keys if k not in obj]
-    if missing:
-        raise ValueError(f"missing key(s) {', '.join(map(repr, missing))}")
 
 
 class _Coeffs(Mapping):

@@ -5,10 +5,13 @@ singleton, serialized as the string "inf", and never a numeric sentinel. The
 only integer INF divides is 0 (an element of infinite order bounds nothing
 except the zero Euler number).
 
-Record is the base of the package's immutable records.
+Record is the base of the package's immutable records; json_int and
+require_keys check JSON input at the boundary.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 
 class _Infinity:
@@ -35,6 +38,22 @@ def divides(d, e: int) -> bool:
 
 def value_str(v) -> str:
     return "inf" if v is INF else str(v)
+
+
+def json_int(what: str, value) -> int:
+    """value itself if it is a JSON integer; bools, floats and strings raise ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def require_keys(obj, *keys) -> None:
+    """Raise ValueError unless obj is a JSON object holding every key."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"missing key(s) {', '.join(map(repr, missing))}")
 
 
 class Record:

@@ -504,7 +504,8 @@ def test_unknown_data_name(capsys):
 STARTUP_PROBE = """
 import contextlib, io, json, os, sys
 import genera.cli
-heavy = ("dataclasses", "csv", "genera.cells", "genera.divis", "genera.hodge",
+heavy = ("dataclasses", "csv", "fractions", "decimal", "genera.series", "genera.modular",
+         "genera.jacobi", "genera.cells", "genera.divis", "genera.hodge",
          "genera.acceptance", "genera.genus")
 at_import = [m for m in heavy if m in sys.modules]
 form = os.path.join(sys.argv[1], "phi01.json")
@@ -531,21 +532,26 @@ def test_series_commands_import_only_what_they_run(tmp_path):
 CHECKS_PROBE = """
 import contextlib, io, json, sys
 import genera.cli
-commands = (["cells", "order", "--table", "pi_tmf", "--element", "eta,2*nu"],
-            ["cells", "homotopy", "--complex", "tmf_mod_nu", "--table", "pi_tmf", "--deg", "5"],
-            ["cells", "dsu-easy", "--kmax", "12"],
-            ["divis", "verdict", "--structure", "Sp", "--k", "3", "--euler", "24"],
-            ["divis", "verify-clas", "--kmax", "12"],
-            ["hk", "solve", "--k", "3"])
+exact = (["cells", "order", "--table", "pi_tmf", "--element", "eta,2*nu"],
+         ["cells", "homotopy", "--complex", "tmf_mod_nu", "--table", "pi_tmf", "--deg", "5"],
+         ["cells", "dsu-easy", "--kmax", "12"],
+         ["divis", "verdict", "--structure", "Sp", "--k", "3", "--euler", "24"])
+series = (["divis", "verify-clas", "--kmax", "12"],
+          ["hk", "solve", "--k", "3"])
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [genera.cli.main(c) for c in commands]
-print(json.dumps({"codes": codes, "dataclasses_after": "dataclasses" in sys.modules}))
+    codes = [genera.cli.main(c) for c in exact]
+    fractions_after_exact = "fractions" in sys.modules
+    codes += [genera.cli.main(c) for c in series]
+print(json.dumps({"codes": codes, "dataclasses_after": "dataclasses" in sys.modules,
+                  "fractions_after_exact": fractions_after_exact}))
 """
 
 
 def test_check_commands_never_import_dataclasses():
+    # nor, before the first command that reads a series, fractions
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", CHECKS_PROBE],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"codes": [0] * 6, "dataclasses_after": False}
+    assert json.loads(proc.stdout) == {"codes": [0] * 6, "dataclasses_after": False,
+                                       "fractions_after_exact": False}

@@ -1,8 +1,15 @@
 """Generator expansions, the elliptic transformation law, and the z=0 story."""
 
 import copy
+import functools
 import itertools
+import json
 import math
+import os
+import pathlib
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +18,8 @@ from hypothesis import strategies as st
 
 from genera import jacobi
 from genera.series import LaurentSeries
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # q^0 and q^1 layers of the five generators, doubled y-exponent -> coefficient.
 FROZEN_LAYERS = {
@@ -296,6 +305,7 @@ def test_dclas_gcd_via_basis_frozen():
     assert [jacobi.dclas_gcd_via_basis(k) for k in range(1, 13)] == want
 
 
+@functools.lru_cache(maxsize=None)
 def reference_dclas_gcd(k):
     """gcd of the big-integer monomial values 12^e1 2^e2 6^e3 3^e4."""
     monos = jacobi.weight0_monomials(k)
@@ -310,6 +320,49 @@ def reference_dclas_gcd(k):
 def test_dclas_gcd_via_basis_matches_big_int_gcd():
     for k in range(1, 301):
         assert jacobi.dclas_gcd_via_basis(k) == reference_dclas_gcd(k), k
+
+
+def _fresh_process(code, *args):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+GCD_PROBE = """
+import json, sys
+from genera import jacobi
+print(json.dumps([jacobi.dclas_gcd_via_basis(int(k)) for k in sys.argv[1:]]))
+"""
+
+
+@pytest.mark.parametrize("order", ["descending", "shuffled"])
+def test_dclas_gcd_via_basis_does_not_depend_on_call_order(order):
+    # each order starts from empty coin tables in a fresh process
+    ks = list(range(300, 0, -1))
+    if order == "shuffled":
+        random.Random(13).shuffle(ks)
+    got = _fresh_process(GCD_PROBE, *ks)
+    assert got == [reference_dclas_gcd(k) for k in ks]
+
+
+TABLE_PROBE = """
+import json, sys
+from genera import divis, jacobi
+kmax = int(sys.argv[1])
+sizes = []
+for _ in range(2):
+    rows = divis.verify_clas_rows(kmax)
+    sizes.append(sorted(len(t) for t in jacobi._COIN_TABLES.values()))
+print(json.dumps({"agree": all(r["agree"] == "yes" for r in rows), "sizes": sizes}))
+"""
+
+
+def test_verify_clas_solves_each_coin_table_once():
+    # one table per cost vector, each solved up to kmax and never again
+    got = _fresh_process(TABLE_PROBE, 194)
+    assert got == {"agree": True, "sizes": [[195, 195], [195, 195]]}
 
 
 def test_serialization_roundtrip():
