@@ -1,7 +1,13 @@
 """Exact integer linear algebra on small dense matrices.
 
-Matrices are lists of rows of ints. Lattices are spanned by COLUMNS.
-Everything here is elementary unimodular column manipulation; sizes in this
+Matrices are lists of rows of ints. Lattices are spanned by COLUMNS. There
+is one reduction, column_echelon_with_transform: unimodular column moves
+that bring a matrix to column echelon form and record the transform. The
+rest is read off it. kernel_basis takes the transform columns of the zero
+columns, solve back-substitutes along the pivots, and lattice_basis keeps
+the pivot columns. snf_diagonal alternates the echelon between a matrix and
+its transpose to reach the Smith invariants. quotient_presentation,
+lattice_quotient and order_in_quotient are built from those. Sizes in this
 package never exceed a few dozen, so no attempt is made to control entry
 growth beyond using exact ints.
 
@@ -13,7 +19,7 @@ against sympy.
 
 from __future__ import annotations
 
-from math import prod
+from math import gcd, prod
 
 
 def identity(n: int) -> list[list[int]]:
@@ -22,12 +28,6 @@ def identity(n: int) -> list[list[int]]:
 
 def mat_vec(M: list[list[int]], v: list[int]) -> list[int]:
     return [sum(row[j] * v[j] for j in range(len(v))) for row in M]
-
-
-def columns(M: list[list[int]]) -> list[list[int]]:
-    if not M:
-        return []
-    return [[M[i][j] for i in range(len(M))] for j in range(len(M[0]))]
 
 
 def from_columns(cols: list[list[int]], nrows: int) -> list[list[int]]:
@@ -96,8 +96,6 @@ def column_echelon_with_transform(M: list[list[int]]):
 def kernel_basis(M: list[list[int]]) -> list[list[int]]:
     """Basis (columns) of {x in Z^n : M x = 0}. Full integer kernel lattice."""
     n = len(M[0]) if M else 0
-    if n == 0:
-        return []
     H, V, pivots = column_echelon_with_transform(M)
     pivot_cols = {c for _r, c in pivots}
     return [[V[i][j] for i in range(n)] for j in range(n) if j not in pivot_cols]
@@ -122,70 +120,29 @@ def solve(M: list[list[int]], b: list[int]):
     return mat_vec(V, z)
 
 
-def solve_affine(M: list[list[int]], b: list[int]):
-    """(particular solution, kernel basis) for M x = b, or None if unsolvable."""
-    x0 = solve(M, b)
-    if x0 is None:
-        return None
-    return x0, kernel_basis(M)
-
-
 def snf_diagonal(M: list[list[int]]) -> list[int]:
-    """Nonzero invariant factors d_1 | d_2 | ... of M, each positive."""
-    A = [row[:] for row in M]
-    m = len(A)
-    n = len(A[0]) if A else 0
-    out: list[int] = []
-    top = 0
-    left = 0
-    while top < m and left < n:
-        # locate smallest nonzero entry in the working block
-        best = None
-        for i in range(top, m):
-            for j in range(left, n):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    """Nonzero invariant factors d_1 | d_2 | ... of M, each positive.
+
+    Column-reduces the matrix and then its transpose, keeping only the pivot
+    columns each time, until every pivot column is zero off its pivot row;
+    this ends because the leading pivot never grows, and once it stops
+    shrinking its row and column are cleared. The pivots are then turned into
+    the divisor chain by replacing each pair (d_i, d_j), i < j, with (gcd, lcm).
+
+    >>> snf_diagonal([[2, 0], [0, 3]])
+    [1, 6]
+    """
+    while True:
+        H, _V, pivots = column_echelon_with_transform(M)
+        if all(H[i][c] == 0 for r, c in pivots for i in range(len(H)) if i != r):
             break
-        bi, bj = best
-        A[top], A[bi] = A[bi], A[top]
-        for row in A:
-            row[left], row[bj] = row[bj], row[left]
-        # clear row and column; restart if a division leaves a remainder
-        dirty = False
-        for i in range(top + 1, m):
-            if A[i][left] % A[top][left] != 0:
-                dirty = True
-            t = A[i][left] // A[top][left]
-            for j in range(left, n):
-                A[i][j] -= t * A[top][j]
-        for j in range(left + 1, n):
-            if A[top][j] % A[top][left] != 0:
-                dirty = True
-            t = A[top][j] // A[top][left]
-            for i in range(top, m):
-                A[i][j] -= t * A[i][left]
-        if dirty or any(A[i][left] for i in range(top + 1, m)) \
-                 or any(A[top][j] for j in range(left + 1, n)):
-            continue
-        d = abs(A[top][left])
-        # enforce the divisibility chain: fold in any entry d does not divide
-        bad = None
-        for i in range(top + 1, m):
-            for j in range(left + 1, n):
-                if A[i][j] % d != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            for j in range(left, n):
-                A[top][j] += A[bad][j]
-            continue
-        out.append(d)
-        top += 1
-        left += 1
-    return out
+        M = [[row[c] for row in H] for _r, c in pivots]
+    diag = [H[r][c] for r, c in pivots]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag
 
 
 def quotient_presentation(n: int, gens: list[list[int]]):
@@ -193,12 +150,7 @@ def quotient_presentation(n: int, gens: list[list[int]]):
 
     OUTPUT: (free_rank, torsion) with torsion the invariant factors > 1.
     """
-    if n == 0:
-        return 0, []
-    if not gens:
-        return n, []
-    M = from_columns(gens, n)
-    diag = snf_diagonal(M)
+    diag = snf_diagonal(from_columns(gens, n))
     torsion = [d for d in diag if d > 1]
     return n - len(diag), torsion
 
@@ -206,25 +158,15 @@ def quotient_presentation(n: int, gens: list[list[int]]):
 def order_in_quotient(n: int, gens: list[list[int]], e: list[int]):
     """Order of e + <gens> in Z^n / <gens>; None means infinite.
 
-    Uses the torsion-size ratio: adjoining e either lowers the free rank
-    (infinite order) or divides the torsion size by exactly ord(e).
+    That is the order of the cyclic group (<gens> + Ze) / <gens>.
     """
-    rank, torsion = quotient_presentation(n, gens)
-    rank2, torsion2 = quotient_presentation(n, gens + [e])
-    if rank2 < rank:
-        return None
-    t1, t2 = prod(torsion), prod(torsion2)
-    if t1 % t2 != 0:
-        raise AssertionError("torsion ratio not integral; broken reduction")
-    return t1 // t2
+    free, torsion = lattice_quotient(n, gens + [e], gens)
+    return None if free else prod(torsion)
 
 
 def lattice_basis(n: int, gens: list[list[int]]) -> list[list[int]]:
     """Echelon basis (columns) of the lattice spanned by gens inside Z^n."""
-    if not gens:
-        return []
-    M = from_columns(gens, n)
-    H, _V, pivots = column_echelon_with_transform(M)
+    H, _V, pivots = column_echelon_with_transform(from_columns(gens, n))
     return [[H[i][c] for i in range(n)] for _r, c in pivots]
 
 
@@ -235,10 +177,6 @@ def lattice_quotient(n: int, big: list[list[int]], small: list[list[int]]):
     OUTPUT: (free_rank, torsion), like quotient_presentation.
     """
     B = lattice_basis(n, big)
-    if not B:
-        if any(any(v) for v in small):
-            raise ValueError("small lattice not contained in big lattice")
-        return 0, []
     Bmat = from_columns(B, n)
     coords = []
     for v in small:

@@ -97,8 +97,8 @@ class GradedTable(Record):
     def element(self, spec) -> Element:
         """Build a single-degree element from a spec.
 
-        Accepts an Element, a generator name, a (mult, name) pair, or a list
-        of such pairs all in one degree.
+        Accepts a generator name or a list of (mult, name) pairs, all in one
+        degree.
         """
         terms = _terms(self, spec)
         degrees = {g.degree for _m, g in terms}
@@ -112,22 +112,10 @@ class GradedTable(Record):
 
 
 def _terms(table: GradedTable, spec) -> list:
-    if isinstance(spec, Element):
-        gs = table.gens(spec.degree)
-        if len(gs) != len(spec.vector):
-            raise TableError("element vector does not match table degree")
-        return [(m, g) for m, g in zip(spec.vector, gs)]
+    # a generator name, or a list of (mult, name) pairs
     if isinstance(spec, str):
         return [(1, table.gen(spec))]
-    if isinstance(spec, tuple) and len(spec) == 2 and isinstance(spec[1], str):
-        return [(int(spec[0]), table.gen(spec[1]))]
-    out = []
-    for item in spec:
-        if isinstance(item, str):
-            out.append((1, table.gen(item)))
-        else:
-            m, name = item
-            out.append((int(m), table.gen(name)))
+    out = [(int(m), table.gen(name)) for m, name in spec]
     if not out:
         raise TableError("empty element spec")
     return out
@@ -455,7 +443,7 @@ def _kernel(table: GradedTable, source: int, alpha: Element, target: int) -> AbG
     tgt = table.gens(target)
     m = len(tgt)
     if m == 0:
-        lattice = _intlin.columns(_intlin.identity(n))
+        lattice = _intlin.identity(n)
     else:
         cols = _boundary_columns(table, source, alpha) + _relation_columns(tgt)
         stacked = _intlin.from_columns(cols, m)
@@ -518,21 +506,20 @@ def cofiber_homotopy(cplx: CellComplex, table: GradedTable, degree: int) -> Cofi
     return CofiberGroup(cplx.name, degree, coker, ker)
 
 
-def image_order_in_cofiber(element, cplx: CellComplex, table: GradedTable):
+def image_order_in_cofiber(element: Element, cplx: CellComplex, table: GradedTable):
     """Order of the image of a bottom-cell class in the cofiber.
 
     The bottom inclusion sends pi_degree of the table onto the cokernel end
     of the LES, so this is the order in that quotient; INF when infinite.
     """
-    e = element if isinstance(element, Element) else table.element(element)
     alpha = _attaching_class(cplx, table)
-    target = e.degree
+    target = element.degree
     source = target + cplx.bottom + 1 - cplx.top
     tgt = table.gens(target)
     if not tgt:
         return 1
     cols = _relation_columns(tgt) + _boundary_columns(table, source, alpha)
-    got = _intlin.order_in_quotient(len(tgt), cols, list(e.vector))
+    got = _intlin.order_in_quotient(len(tgt), cols, list(element.vector))
     return INF if got is None else got
 
 

@@ -39,16 +39,15 @@ statement that the genus of a k-fold has index k/2).
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import factorial
 from operator import mul
 
-from genera.jacobi import JacobiForm, generator_a, z_taylor
-from genera.modular import sigma
-from genera.series import LaurentSeries
 from genera.values import Record, json_int
+
+# fractions and the series layer are imported by the functions that build
+# series, so loading Chern data or reading the Euler number needs neither
 
 
 class ChernDataError(ValueError):
@@ -173,6 +172,8 @@ def chern_product(M: ChernData, N: ChernData) -> ChernData:
 
 def _todd_coeffs(xdeg: int) -> list[Fraction]:
     """Taylor coefficients of x/(1 - e^{-x}) up to x^xdeg."""
+    from fractions import Fraction
+
     # invert u(x) = (1 - e^{-x})/x = sum (-1)^d x^d/(d+1)!
     u = []
     fact = 1
@@ -206,6 +207,12 @@ def factor_polynomial(qmax: int, xdeg: int, nvars: int = 1, slot: int = 0) -> li
     d * E_d = sum_{i=1}^d K_i * E_{d-i}, and F = (the shifts of a) * E. The elliptic variable sits in the given slot
     of an nvars-variable ring; F_0 is exactly the generator a in that slot.
     """
+    from fractions import Fraction
+
+    from genera.jacobi import generator_a, z_taylor
+    from genera.modular import sigma
+    from genera.series import LaurentSeries
+
     if nvars < 1 or not 0 <= slot < nvars:
         raise ValueError("need nvars >= 1 and a valid slot")
     a = generator_a(qmax).series
@@ -238,6 +245,8 @@ def integrand_expansion(dimc: int, nvars: int = 1, qmax: int = 10) -> dict:
     the degree-dimc part of prod_j Phi(x_j), where Phi is the universal
     factor multiplied over the nvars elliptic variables.
     """
+    from genera.series import LaurentSeries
+
     phi = factor_polynomial(qmax, dimc, nvars=nvars, slot=0)
     for i in range(1, nvars):
         phi = _pmul(phi, factor_polynomial(qmax, dimc, nvars=nvars, slot=i), dimc)
@@ -285,6 +294,9 @@ def elliptic_genus(M: ChernData, nvars: int = 1, qmax: int = 10) -> JacobiForm:
     still returned with the same tags but is no Jacobi form: for dimc 1 and
     c1 = 1 it is (y^{1/2} + y^{-1/2})/2, which breaks the law.
     """
+    from genera.jacobi import JacobiForm
+    from genera.series import LaurentSeries
+
     if M.dimc == 0:
         s = LaurentSeries.const(max(nvars, 1), qmax, M.number(()))
         return JacobiForm(0, 0, s)

@@ -233,10 +233,10 @@ def hk_divisibility(k: int, use_parity: bool = True) -> int:
     for i, (row, mod) in enumerate(parities):
         rows.append(list(row[:-1]) + [-mod if t == i else 0 for t in range(m)])
         rhs.append(-row[-1])
-    solved = _intlin.solve_affine(rows, rhs)
-    if solved is None:
+    x0 = _intlin.solve(rows, rhs)
+    if x0 is None:
         raise HodgeError(f"no integer solutions for k = {k}")
-    x0, kernel = solved
+    kernel = _intlin.kernel_basis(rows)
     ei = system.unknowns.index(EULER)
     g = gcd(x0[ei], *(v[ei] for v in kernel))
     if g == 0:

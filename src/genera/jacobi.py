@@ -102,9 +102,6 @@ class JacobiForm(Record):
             raise ValueError("only nonnegative integer powers")
         return JacobiForm(self.weight2 * k, self.index2 * k, self.series ** k)
 
-    def truncate(self, qmax: int) -> "JacobiForm":
-        return JacobiForm(self.weight2, self.index2, self.series.truncate(qmax))
-
     def to_obj(self) -> dict:
         return {"weight2": self.weight2, "index2": self.index2,
                 **self.series.to_obj()}

@@ -66,9 +66,6 @@ class QExpansion(Record):
     def __pow__(self, k: int) -> "QExpansion":
         return QExpansion(self.weight2 * k, self.series ** k)
 
-    def to_obj(self) -> dict:
-        return {"weight2": self.weight2, **self.series.to_obj()}
-
 
 def _eisenstein(weight: int, c: int, qmax: int) -> QExpansion:
     """1 + c * sum_{n>=1} sigma_{weight-1}(n) q^n, tagged with the given weight."""

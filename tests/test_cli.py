@@ -535,23 +535,25 @@ import genera.cli
 exact = (["cells", "order", "--table", "pi_tmf", "--element", "eta,2*nu"],
          ["cells", "homotopy", "--complex", "tmf_mod_nu", "--table", "pi_tmf", "--deg", "5"],
          ["cells", "dsu-easy", "--kmax", "12"],
-         ["divis", "verdict", "--structure", "Sp", "--k", "3", "--euler", "24"])
+         ["divis", "verdict", "--structure", "Sp", "--k", "3", "--euler", "24"],
+         ["genus", "euler", "--chern", "k3"])
 series = (["divis", "verify-clas", "--kmax", "12"],
           ["hk", "solve", "--k", "3"])
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [genera.cli.main(c) for c in exact]
-    fractions_after_exact = "fractions" in sys.modules
+    series_after_exact = [m for m in ("fractions", "decimal", "genera.series",
+                                      "genera.modular", "genera.jacobi") if m in sys.modules]
     codes += [genera.cli.main(c) for c in series]
 print(json.dumps({"codes": codes, "dataclasses_after": "dataclasses" in sys.modules,
-                  "fractions_after_exact": fractions_after_exact}))
+                  "series_after_exact": series_after_exact}))
 """
 
 
 def test_check_commands_never_import_dataclasses():
-    # nor, before the first command that reads a series, fractions
+    # nor, before the first command that reads a series, fractions or the series layer
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", CHECKS_PROBE],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"codes": [0] * 6, "dataclasses_after": False,
-                                       "fractions_after_exact": False}
+    assert json.loads(proc.stdout) == {"codes": [0] * 7, "dataclasses_after": False,
+                                       "series_after_exact": []}

@@ -32,8 +32,8 @@ def gen_lists(n, max_gens=4, bound=5):
     return st.lists(vec, min_size=0, max_size=max_gens)
 
 
-@given(matrices())
-@settings(max_examples=60, deadline=None)
+@given(st.one_of(matrices(), matrices(max_dim=6, bound=1000)))
+@settings(max_examples=120, deadline=None)
 def test_snf_matches_sympy(M):
     mine = il.snf_diagonal(M)
     S = smith_normal_form(sympy.Matrix(M))
@@ -93,6 +93,10 @@ def test_quotient_presentation_basics():
     assert il.quotient_presentation(1, [[12]]) == (0, [12])
     assert il.quotient_presentation(1, [[1]]) == (0, [])
     assert il.quotient_presentation(2, []) == (2, [])
+    # zero generators present nothing; a 1 x 3 and a 3 x 1 matrix
+    assert il.quotient_presentation(3, [[0, 0, 0], [0, 0, 0]]) == (3, [])
+    assert il.quotient_presentation(1, [[4], [6], [0]]) == (0, [2])
+    assert il.quotient_presentation(3, [[4, 6, 10]]) == (2, [2])
 
 
 @given(st.integers(min_value=1, max_value=3).flatmap(
@@ -118,6 +122,11 @@ def test_order_in_quotient_hand_cases():
     assert il.order_in_quotient(1, [[12]], [0]) == 1
     assert il.order_in_quotient(1, [[0]], [1]) is None  # infinite order
     assert il.order_in_quotient(2, [[2, 0], [0, 3]], [1, 1]) == 6
+    # no relations: only zero has finite order
+    assert il.order_in_quotient(2, [], [0, 0]) == 1
+    assert il.order_in_quotient(2, [], [0, 5]) is None
+    # e already in the lattice
+    assert il.order_in_quotient(2, [[2, 4], [0, 6]], [4, 14]) == 1
 
 
 @given(
