@@ -4,12 +4,12 @@ Matrices are lists of rows of ints. Lattices are spanned by COLUMNS. There
 is one reduction, column_echelon_with_transform: unimodular column moves
 that bring a matrix to column echelon form and record the transform. The
 rest is read off it. kernel_basis takes the transform columns of the zero
-columns, solve back-substitutes along the pivots, and lattice_basis keeps
-the pivot columns. snf_diagonal alternates the echelon between a matrix and
-its transpose to reach the Smith invariants. quotient_presentation,
-lattice_quotient and order_in_quotient are built from those. Sizes in this
-package never exceed a few dozen, so no attempt is made to control entry
-growth beyond using exact ints.
+columns, solve and lattice_quotient back-substitute along the pivots, and
+lattice_basis keeps the pivot columns. snf_diagonal alternates the echelon
+between a matrix and its transpose to reach the Smith invariants.
+quotient_presentation and order_in_quotient are built from those. Sizes
+in this package never exceed a few dozen, so no attempt is made to control
+entry growth beyond using exact ints.
 
 sympy ships Smith and Hermite forms but not the transform matrices, and its
 nullspace is rational, so the integer kernel lattice and integer particular
@@ -101,22 +101,30 @@ def kernel_basis(M: list[list[int]]) -> list[list[int]]:
     return [[V[i][j] for i in range(n)] for j in range(n) if j not in pivot_cols]
 
 
-def solve(M: list[list[int]], b: list[int]):
-    """One integer solution x of M x = b, or None if none exists."""
-    m = len(M)
-    n = len(M[0]) if M else 0
-    H, V, pivots = column_echelon_with_transform(M)
-    z = [0] * n
+def _back_substitute(H: list[list[int]], pivots, b: list[int]):
+    """Coordinates t with b = sum_k t_k * (column of pivot k of H), or None."""
     resid = list(b)
+    coords = []
     for r, c in pivots:
         if resid[r] % H[r][c] != 0:
             return None
         t = resid[r] // H[r][c]
-        z[c] = t
-        for i in range(m):
+        coords.append(t)
+        for i in range(len(H)):
             resid[i] -= t * H[i][c]
-    if any(resid):
+    return None if any(resid) else coords
+
+
+def solve(M: list[list[int]], b: list[int]):
+    """One integer solution x of M x = b, or None if none exists."""
+    n = len(M[0]) if M else 0
+    H, V, pivots = column_echelon_with_transform(M)
+    coords = _back_substitute(H, pivots, b)
+    if coords is None:
         return None
+    z = [0] * n
+    for (_r, c), t in zip(pivots, coords):
+        z[c] = t
     return mat_vec(V, z)
 
 
@@ -176,12 +184,11 @@ def lattice_quotient(n: int, big: list[list[int]], small: list[list[int]]):
     Every small generator must lie in <big>; raises otherwise.
     OUTPUT: (free_rank, torsion), like quotient_presentation.
     """
-    B = lattice_basis(n, big)
-    Bmat = from_columns(B, n)
+    H, _V, pivots = column_echelon_with_transform(from_columns(big, n))
     coords = []
     for v in small:
-        c = solve(Bmat, v)
+        c = _back_substitute(H, pivots, v)
         if c is None:
             raise ValueError("small lattice not contained in big lattice")
         coords.append(c)
-    return quotient_presentation(len(B), coords)
+    return quotient_presentation(len(pivots), coords)

@@ -20,6 +20,7 @@ from typing import Callable, TextIO
 
 from genera import cells, divis, genus, hodge, jacobi
 from genera._data import resolve_data
+from genera.series import LaurentSeries
 from genera.values import INF
 
 
@@ -69,15 +70,17 @@ def _crit_ev_constants() -> tuple[bool, str]:
     return True, f"ev constants {vals} and ev series constant through q^8"
 
 
-def _crit_ring_relation() -> tuple[bool, str]:
-    p1 = jacobi.generator("phi01", 8)
-    p32 = jacobi.generator("phi032", 8)
-    p2 = jacobi.generator("phi02", 8)
-    p4 = jacobi.generator("phi04", 8)
-    diff = 4 * p4 - (p1 * p32 * p32 - p2 * p2)
-    if diff.series.is_zero:
-        return True, "4*phi04 == phi01*phi032^2 - phi02^2 through q^8"
-    return False, "ring relation fails"
+def _crit_theta_multiplication() -> tuple[bool, str]:
+    # a(mz) is a with every doubled y-exponent R replaced by m * R
+    a = jacobi.generator("a", 8).series
+    bad = []
+    for name, m in (("phi032", 2), ("phi04", 3)):
+        a_mz = LaurentSeries(1, 8, {(n, (m * R,)): c for (n, (R,)), c in a.coeffs.items()})
+        if (jacobi.generator(name, 8).series * a) != a_mz:
+            bad.append(f"{name}*a != a({m}z)")
+    if bad:
+        return False, "; ".join(bad)
+    return True, "phi032*a == a(2z) and phi04*a == a(3z) through q^8, a(mz) by y -> y^m"
 
 
 def _crit_dclas_oracle() -> tuple[bool, str]:
@@ -229,7 +232,7 @@ CRITERIA: tuple[Criterion, ...] = (
     Criterion(1, "k3-genus", _crit_k3_genus),
     Criterion(2, "quintic-genus", _crit_quintic_genus),
     Criterion(3, "ev-constants", _crit_ev_constants),
-    Criterion(4, "ring-relation", _crit_ring_relation),
+    Criterion(4, "theta-multiplication", _crit_theta_multiplication),
     Criterion(5, "dclas-oracle", _crit_dclas_oracle),
     Criterion(6, "nu-orders", _crit_nu_orders),
     Criterion(7, "dsp-refinement", _crit_dsp_refinement, expected_fail=True),

@@ -10,10 +10,9 @@ theta function of z with y = e^z, that factor is
                        / ((1-q^m e^x)(1-q^m e^{-x})).
 
 Its x-expansion needs no product: the Taylor coefficients of a(z + x) are
-the y-derivatives of a, and x/a(x) = exp(sum_{k>=1} 2 G_2k x^2k / (2k)!) with
-the Eisenstein series G_2k = -B_2k/(4k) + sum_n sigma_{2k-1}(n) q^n
-(Zagier, Invent. Math. 104, 1991; Hirzebruch, Berger and Jung, Manifolds
-and Modular Forms, 1992). F(0) is a itself.
+the y-derivatives of a, and their values at z = 0 expand a(x), whose
+reciprocal gives x/a(x) (Hirzebruch, Berger and Jung, Manifolds and Modular
+Forms, 1992). F(0) is a itself.
 
 With F(x) = sum_d F_d x^d, the degree-k part of prod_{j=1}^k F(x_j) has,
 on the monomial symmetric function m_lam of a partition lam of k with
@@ -41,13 +40,12 @@ from __future__ import annotations
 import json
 from functools import lru_cache, reduce
 from itertools import combinations
-from math import factorial
 from operator import mul
 
 from genera.values import Record, json_int
 
-# fractions and the series layer are imported by the functions that build
-# series, so loading Chern data or reading the Euler number needs neither
+# the series layer is imported by the functions that build series, so loading
+# Chern data or reading the Euler number does not load it
 
 
 class ChernDataError(ValueError):
@@ -170,22 +168,6 @@ def chern_product(M: ChernData, N: ChernData) -> ChernData:
 # the universal factor as a polynomial in one Chern root
 
 
-def _todd_coeffs(xdeg: int) -> list[Fraction]:
-    """Taylor coefficients of x/(1 - e^{-x}) up to x^xdeg."""
-    from fractions import Fraction
-
-    # invert u(x) = (1 - e^{-x})/x = sum (-1)^d x^d/(d+1)!
-    u = []
-    fact = 1
-    for d in range(xdeg + 1):
-        fact *= d + 1
-        u.append(Fraction((-1) ** d, fact))
-    t = [Fraction(1)]
-    for d in range(1, xdeg + 1):
-        t.append(-sum(u[j] * t[d - j] for j in range(1, d + 1)))
-    return t
-
-
 def _pmul(A: list, B: list, xdeg: int) -> list:
     zero = A[0] * 0
     out = []
@@ -200,37 +182,32 @@ def _pmul(A: list, B: list, xdeg: int) -> list:
 def factor_polynomial(qmax: int, xdeg: int, nvars: int = 1, slot: int = 0) -> list[LaurentSeries]:
     """Coefficients [F_0, ..., F_xdeg] of F(x) = x * a(z + x) / a(x) in one root.
 
-    The x^i coefficient of a(z + x) is (y d/dy)^i a / i!, computed by
-    jacobi.z_taylor, the helper that also builds phi01. The x^d coefficient
-    E_d of x/a(x) is a pure q-series; with K_d = 2 G_d / (d-1)! for even d
-    and K_d = 0 for odd d, the exponential gives
-    d * E_d = sum_{i=1}^d K_i * E_{d-i}, and F = (the shifts of a) * E. The elliptic variable sits in the given slot
-    of an nvars-variable ring; F_0 is exactly the generator a in that slot.
-    """
-    from fractions import Fraction
+    The x^i coefficient a_i of a(z + x) is (y d/dy)^i a / i!, from
+    jacobi.z_taylor. At y = 1 they give a(x) = x (1 + sum_j b_j x^j) with
+    b_j = a_{j+1}, zero for odd j as a is odd, so the x^d coefficient of
+    x/a(x) is the pure q-series E_0 = 1, E_d = -sum_{j = 2, 4, ..., d} b_j E_{d-j},
+    and F = (the a_i) * E. The elliptic variable sits in the given slot of an
+    nvars-variable ring; F_0 is the generator a there, and F(x) = x at z = 0:
 
-    from genera.jacobi import generator_a, z_taylor
-    from genera.modular import sigma
+    >>> factor_polynomial(2, 3)[1].collapse_y()
+    <series nvars=0 qmax=2: 1>
+    >>> factor_polynomial(2, 3)[2].collapse_y()
+    <series nvars=0 qmax=2: 0>
+    """
+    from genera.jacobi import _lift, generator_a, z_taylor
     from genera.series import LaurentSeries
 
     if nvars < 1 or not 0 <= slot < nvars:
         raise ValueError("need nvars >= 1 and a valid slot")
     a = generator_a(qmax).series
-    shifts = [z_taylor(a, i).embed(nvars, slot) for i in range(xdeg + 1)]
-
-    zero = (0,) * nvars
-    todd = _todd_coeffs(xdeg)
-    K = {}
-    E = [LaurentSeries.one(nvars, qmax)]
+    taylor = [z_taylor(a, i) for i in range(xdeg + 2)]
+    b = [t.collapse_y() for t in taylor[1:]]
+    E = [LaurentSeries.one(0, qmax)]
     for d in range(1, xdeg + 1):
-        if d % 2 == 0:
-            coeffs = {(n, zero): Fraction(2 * sigma(d - 1, n), factorial(d - 1))
-                      for n in range(1, qmax + 1)}
-            coeffs[(0, zero)] = -todd[d]  # 2 * (-B_d/(2d)) / (d-1)!, B_d = d! * todd[d]
-            K[d] = LaurentSeries(nvars, qmax, coeffs)
-        E.append(sum((K[i] * E[d - i] for i in range(2, d + 1, 2)),
-                     LaurentSeries.zero(nvars, qmax)) * Fraction(1, d))
-    return _pmul(shifts, E, xdeg)
+        E.append(-sum((b[j] * E[d - j] for j in range(2, d + 1, 2)),
+                      LaurentSeries.zero(0, qmax)))
+    shifts = [t.embed(nvars, slot) for t in taylor[:-1]]
+    return _pmul(shifts, [_lift(e, nvars) for e in E], xdeg)
 
 
 # ----------------------------------------------------------------------
@@ -275,10 +252,10 @@ def _zero_one_matrices(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
 
 
 def _monomial_integrals(M: ChernData) -> dict:
-    """The integers int_M m_lam for every partition lam of dimc >= 1."""
+    """The integers int_M m_lam for every partition lam of dimc."""
     out: dict = {}
     for lam in sorted(partitions(M.dimc)):
-        conj = tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
+        conj = tuple(sum(1 for p in lam if p > i) for i in range(max(lam, default=0)))
         out[lam] = M.number(conj) - sum(
             _zero_one_matrices(conj, nu) * v for nu, v in out.items())
     return out
@@ -297,9 +274,6 @@ def elliptic_genus(M: ChernData, nvars: int = 1, qmax: int = 10) -> JacobiForm:
     from genera.jacobi import JacobiForm
     from genera.series import LaurentSeries
 
-    if M.dimc == 0:
-        s = LaurentSeries.const(max(nvars, 1), qmax, M.number(()))
-        return JacobiForm(0, 0, s)
     integrals = _monomial_integrals(M)
     integrand = integrand_expansion(M.dimc, nvars, qmax)
     s = LaurentSeries.zero(nvars, qmax)

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from genera import acceptance, divis
+from genera import acceptance, divis, jacobi
 
 
 @pytest.mark.parametrize(
@@ -63,3 +63,11 @@ def test_ko_criterion_reports_the_verdict_note(monkeypatch):
     ok, detail = acceptance._crit_ko()
     assert ok is False
     assert "forced rejection note" in detail
+
+
+def test_theta_multiplication_criterion_catches_a_wrong_phi04(monkeypatch):
+    # phi04 + phi01^4 has the weight and index of phi04 but is not a(3z)/a(z)
+    phi04, phi01 = jacobi._phi04, jacobi._phi01
+    monkeypatch.setattr(jacobi, "_phi04", lambda q: phi04(q) + phi01(q) ** 4)
+    ok, detail = acceptance._crit_theta_multiplication()
+    assert (ok, detail) == (False, "phi04*a != a(3z)")

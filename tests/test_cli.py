@@ -188,6 +188,17 @@ def test_genus_compute_k3(capsys):
     assert obj["terms"][:3] == [[0, [-2], "2"], [0, [0], "20"], [0, [2], "2"]]
 
 
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_genus_compute_point(tmp_path, capsys, nvars):
+    # a point's genus is its one Chern number, the empty product of factors
+    (tmp_path / "point.json").write_text(json.dumps({"dimc": 0, "numbers": {"": 5}}))
+    rc, out, err = run(capsys, "--data-dir", str(tmp_path), "genus", "compute",
+                       "--chern", "point", "--nvars", str(nvars), "--qmax", "2")
+    want = {"index2": 0, "integral": True, "nvars": nvars, "qmax": 2,
+            "terms": [[0, [0] * nvars, "5"]], "weight2": 0}
+    assert (rc, out, err) == (0, json.dumps(want, indent=2, sort_keys=True) + "\n", "")
+
+
 def test_genus_chern_literal_path(tmp_path, capsys):
     f = tmp_path / "scaled.json"
     f.write_text(json.dumps({"dimc": 2, "numbers": {"2": 30, "1,1": 0}}))

@@ -173,6 +173,16 @@ def test_z_taylor():
     assert jacobi.z_taylor(_half_monomials(3, -1), 1) == _half_monomials(3, 1) * Fraction(1, 2)
     # D^2 a / 2 = D(D a) / 2: the helper composes as the Taylor coefficients must
     assert jacobi.z_taylor(f, 2) == jacobi.z_taylor(jacobi.z_taylor(f, 1), 1) * Fraction(1, 2)
+    # at y = 1 they expand a(x) = x (1 + sum_j b_j x^j) with b_j = a_{j+1}: a'(0) = 1, a is
+    # odd, and x/a(x) = exp(sum_k 2 G_2k x^2k / (2k)!) with G_2 = -E2/24, G_4 = E4/240
+    q = 10
+    a = jacobi.generator("a", q).series
+    b = [jacobi.z_taylor(a, j + 1).collapse_y() for j in range(6)]
+    e2, e4 = jacobi.modular.e2(q).series, jacobi.modular.e4(q).series
+    assert b[0] == LaurentSeries.one(0, q)
+    assert all(b[j].is_zero for j in (1, 3, 5))
+    assert 24 * b[2] == e2
+    assert 2880 * b[4] == e2 * e2 * Fraction(5, 2) - e4
 
 
 def test_z_taylor_and_lift_skip_the_validating_constructor(monkeypatch):
