@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from types import MappingProxyType
 
 from genera import _intlin
@@ -95,35 +95,43 @@ class GradedTable(Record):
         return Element(g.degree, tuple(vec))
 
     def element(self, spec) -> Element:
-        """Build a single-degree element from a spec.
+        """Build a single-degree element from a spec: a generator name or a
+        list of (mult, name) pairs, all in the degree of the first.
 
-        Accepts a generator name or a list of (mult, name) pairs, all in one
-        degree.
+        >>> t = table_load("pi_tmf")
+        >>> t.element([(5, "nu"), (21, "nu")])
+        Element(degree=3, vector=(2,))
         """
-        terms = _terms(self, spec)
-        degrees = {g.degree for _m, g in terms}
-        if len(degrees) != 1:
-            raise TableError(f"element spans degrees {sorted(degrees)}; expected one")
-        (degree,) = degrees
-        vec = [0] * len(self.gens(degree))
-        for m, g in terms:
-            vec[g.index] += m
-        return self.norm(degree, vec)
+        terms = _terms(spec)
+        return _element(self, self.gen(terms[0][1]).degree, terms, "element spec")
 
 
-def _terms(table: GradedTable, spec) -> list:
-    # a generator name, or a list of (mult, name) pairs
+def _terms(spec) -> list:
+    # a generator name, or a non-empty list of (mult, name) pairs
     if isinstance(spec, str):
-        return [(1, table.gen(spec))]
-    out = [(int(m), table.gen(name)) for m, name in spec]
+        return [(1, spec)]
+    out = [(int(m), name) for m, name in spec]
     if not out:
         raise TableError("empty element spec")
     return out
 
 
+def _element(table: GradedTable, degree: int, terms, what: str) -> Element:
+    """The sum of mult * gen over (mult, name) terms, each in `degree`,
+    reduced; `what` names the element in the error for a stray term."""
+    vec = [0] * len(table.gens(degree))
+    for m, name in terms:
+        g = table.gen(name)
+        if g.degree != degree:
+            raise TableError(f"{what} has {name} in degree {g.degree}, expected {degree}")
+        vec[g.index] += m
+    return table.norm(degree, vec)
+
+
 def _parse_result(raw) -> list:
-    # action result: 0, "gen", {"gen", "mult"}, or a list of the last two forms
-    if raw == 0:
+    # action result: the JSON integer 0, "gen", {"gen", "mult"}, or a list of
+    # the last two forms
+    if raw == 0 and type(raw) is int:
         return []
     out = []
     for item in raw if isinstance(raw, list) else [raw]:
@@ -133,8 +141,8 @@ def _parse_result(raw) -> list:
               and type(item.get("mult")) is int):
             out.append((item["mult"], item["gen"]))
         else:
-            raise TableError(f"bad action result {raw!r}: need a generator name or "
-                             "a {gen, mult} object with a JSON-integer mult")
+            raise TableError(f"bad action result {raw!r}: need the JSON integer 0, a "
+                             "generator name or a {gen, mult} object with a JSON-integer mult")
     return out
 
 
@@ -211,37 +219,32 @@ def _table_from_text(fpath: str, text: str) -> GradedTable:
         if not isinstance(entry, list) or len(entry) != 3:
             raise TableError(f"bad action entry {entry!r}")
         gname, hname, res = entry
-        g = table.gen(gname)
-        h = table.gen(hname)
-        target = g.degree + h.degree
-        tgt = table.gens(target)  # raises WindowError for out-of-window products
-        vec = [0] * len(tgt)
-        for m, rname in _parse_result(res):
-            r = table.gen(rname)
-            if r.degree != target:
-                raise TableError(
-                    f"product {gname}*{hname} declared in degree {r.degree}, expected {target}"
-                )
-            vec[r.index] += m
+        target = table.gen(gname).degree + table.gen(hname).degree
+        # an out-of-window target raises WindowError
+        got = _element(table, target, _parse_result(res), f"product {gname}*{hname}")
         if (gname, hname) in action:
             raise TableError(f"duplicate action entry {gname}*{hname}")
-        action[(gname, hname)] = table.norm(target, vec)
+        action[(gname, hname)] = got
 
     _audit(table)
     return table
 
 
+def _swapped(table: GradedTable, g: Gen, h: Gen) -> Element:
+    # g*h from the declared h*g by graded commutativity
+    sign = -1 if (g.degree * h.degree) % 2 else 1
+    return table.norm(g.degree + h.degree,
+                      [sign * v for v in table.action[(h.name, g.name)].vector])
+
+
 def _pair_product(table: GradedTable, g: Gen, h: Gen) -> Element:
-    target = g.degree + h.degree
-    tgt = table.gens(target)
     got = table.action.get((g.name, h.name))
     if got is not None:
         return got
-    got = table.action.get((h.name, g.name))
-    if got is not None:
-        sign = -1 if (g.degree * h.degree) % 2 else 1
-        return table.norm(target, [sign * v for v in got.vector])
-    if not tgt:
+    if (h.name, g.name) in table.action:
+        return _swapped(table, g, h)
+    target = g.degree + h.degree
+    if not table.gens(target):
         return Element(target, ())
     raise ProductError(f"product {g.name}*{h.name} not declared in table {table.name}")
 
@@ -265,27 +268,22 @@ def mult(table: GradedTable, a: Element, b: Element) -> Element:
 
 
 def _audit(table: GradedTable) -> None:
-    for (gname, hname), prod in table.action.items():
+    for (gname, hname), got in table.action.items():
         g, h = table.gen(gname), table.gen(hname)
         tgt = table.gens(g.degree + h.degree)
         for o in (g.order, h.order):
             if o == 0:
                 continue
-            for r, v in zip(tgt, prod.vector):
+            for r, v in zip(tgt, got.vector):
                 bad = (o * v) % r.order != 0 if r.order else o * v != 0
                 if bad:
                     raise TableError(
                         f"order({gname if o == g.order else hname}) = {o} does not kill "
                         f"{gname}*{hname} in table {table.name}"
                     )
-    for (gname, hname) in list(table.action):
-        if (hname, gname) not in table.action or gname == hname:
-            continue
-        g, h = table.gen(gname), table.gen(hname)
-        lhs = table.action[(gname, hname)]
-        sign = -1 if (g.degree * h.degree) % 2 else 1
-        rhs = table.norm(lhs.degree, [sign * v for v in table.action[(hname, gname)].vector])
-        if lhs != rhs:
+    for (gname, hname), got in table.action.items():
+        if (gname != hname and (hname, gname) in table.action
+                and got != _swapped(table, table.gen(gname), table.gen(hname))):
             raise TableError(f"{gname}*{hname} breaks graded commutativity")
     names = sorted(table.by_name)
     for x in names:
@@ -309,17 +307,13 @@ def element_order(table: GradedTable, spec):
     an element of the direct sum and the order is the lcm over degrees.
     """
     by_degree: dict = {}
-    for m, g in _terms(table, spec):
-        vec = by_degree.setdefault(g.degree, [0] * len(table.gens(g.degree)))
-        vec[g.index] += m
+    for term in _terms(spec):
+        by_degree.setdefault(table.gen(term[1]).degree, []).append(term)
     result = 1
-    for degree, vec in by_degree.items():
-        for g, v in zip(table.gens(degree), vec):
-            if g.order == 0:
-                if v != 0:
-                    return INF
-                continue
-            v %= g.order
+    for degree, terms in by_degree.items():
+        for g, v in zip(table.gens(degree), _element(table, degree, terms, "element spec").vector):
+            if v and not g.order:
+                return INF
             if v:
                 result = lcm(result, g.order // gcd(g.order, v))
     return result
@@ -368,17 +362,7 @@ def complex_load(path: str) -> CellComplex:
 
 
 def _attaching_class(cplx: CellComplex, table: GradedTable) -> Element:
-    adeg = cplx.top - 1 - cplx.bottom
-    vec = [0] * len(table.gens(adeg))
-    for m, gname in cplx.attach:
-        g = table.gen(gname)
-        if g.degree != adeg:
-            raise TableError(
-                f"attaching class {gname} has degree {g.degree}, "
-                f"cell degrees demand {adeg}"
-            )
-        vec[g.index] += m
-    return table.norm(adeg, vec)
+    return _element(table, cplx.top - 1 - cplx.bottom, cplx.attach, "attaching class")
 
 
 class AbGroup(Record):
@@ -390,12 +374,7 @@ class AbGroup(Record):
 
     @property
     def order(self):
-        if self.free_rank:
-            return INF
-        n = 1
-        for t in self.torsion:
-            n *= t
-        return n
+        return INF if self.free_rank else prod(self.torsion)
 
     def __str__(self) -> str:
         parts = []
@@ -407,31 +386,28 @@ class AbGroup(Record):
         return " + ".join(parts) if parts else "0"
 
 
-def _boundary_columns(table: GradedTable, source: int, alpha: Element) -> tuple:
+def _boundary_columns(table: GradedTable, source: int, alpha: Element) -> list:
     """Images of the degree `source` generators under right multiplication by alpha."""
-    cols = []
-    for g in table.gens(source):
-        cols.append(list(mult(table, table.unit(g.name), alpha).vector))
-    return cols
+    return [list(mult(table, table.unit(g.name), alpha).vector) for g in table.gens(source)]
 
 
 def _relation_columns(gens: tuple) -> list:
-    n = len(gens)
-    cols = []
-    for g in gens:
-        if g.order:
-            col = [0] * n
-            col[g.index] = g.order
-            cols.append(col)
-    return cols
+    # one column order * e_g per finite cyclic summand
+    return [[g.order if i == g.index else 0 for i in range(len(gens))] for g in gens if g.order]
+
+
+def _cokernel_columns(table: GradedTable, source: int, alpha: Element, target: int) -> list:
+    """Columns presenting coker(.alpha: pi_source -> pi_target): the relations
+    of the target group, then the boundary images."""
+    return _relation_columns(table.gens(target)) + _boundary_columns(table, source, alpha)
 
 
 def _cokernel(table: GradedTable, source: int, alpha: Element, target: int) -> AbGroup:
-    tgt = table.gens(target)
-    if not tgt:
+    n = len(table.gens(target))
+    if not n:
         return AbGroup(0, ())
-    cols = _relation_columns(tgt) + _boundary_columns(table, source, alpha)
-    free, torsion = _intlin.quotient_presentation(len(tgt), cols)
+    cols = _cokernel_columns(table, source, alpha, target)
+    free, torsion = _intlin.quotient_presentation(n, cols)
     return AbGroup(free, tuple(torsion))
 
 
@@ -515,11 +491,11 @@ def image_order_in_cofiber(element: Element, cplx: CellComplex, table: GradedTab
     alpha = _attaching_class(cplx, table)
     target = element.degree
     source = target + cplx.bottom + 1 - cplx.top
-    tgt = table.gens(target)
-    if not tgt:
+    n = len(table.gens(target))
+    if not n:
         return 1
-    cols = _relation_columns(tgt) + _boundary_columns(table, source, alpha)
-    got = _intlin.order_in_quotient(len(tgt), cols, list(element.vector))
+    got = _intlin.order_in_quotient(n, _cokernel_columns(table, source, alpha, target),
+                                    list(element.vector))
     return INF if got is None else got
 
 

@@ -179,15 +179,15 @@ def _pmul(A: list, B: list, xdeg: int) -> list:
     return out
 
 
-def factor_polynomial(qmax: int, xdeg: int, nvars: int = 1, slot: int = 0) -> list[LaurentSeries]:
+def factor_polynomial(qmax: int, xdeg: int) -> list[LaurentSeries]:
     """Coefficients [F_0, ..., F_xdeg] of F(x) = x * a(z + x) / a(x) in one root.
 
     The x^i coefficient a_i of a(z + x) is (y d/dy)^i a / i!, from
     jacobi.z_taylor. At y = 1 they give a(x) = x (1 + sum_j b_j x^j) with
     b_j = a_{j+1}, zero for odd j as a is odd, so the x^d coefficient of
     x/a(x) is the pure q-series E_0 = 1, E_d = -sum_{j = 2, 4, ..., d} b_j E_{d-j},
-    and F = (the a_i) * E. The elliptic variable sits in the given slot of an
-    nvars-variable ring; F_0 is the generator a there, and F(x) = x at z = 0:
+    and F = (the a_i) * E, in one elliptic variable. F_0 is the generator a,
+    and F(x) = x at z = 0:
 
     >>> factor_polynomial(2, 3)[1].collapse_y()
     <series nvars=0 qmax=2: 1>
@@ -197,8 +197,6 @@ def factor_polynomial(qmax: int, xdeg: int, nvars: int = 1, slot: int = 0) -> li
     from genera.jacobi import _lift, generator_a, z_taylor
     from genera.series import LaurentSeries
 
-    if nvars < 1 or not 0 <= slot < nvars:
-        raise ValueError("need nvars >= 1 and a valid slot")
     a = generator_a(qmax).series
     taylor = [z_taylor(a, i) for i in range(xdeg + 2)]
     b = [t.collapse_y() for t in taylor[1:]]
@@ -206,8 +204,7 @@ def factor_polynomial(qmax: int, xdeg: int, nvars: int = 1, slot: int = 0) -> li
     for d in range(1, xdeg + 1):
         E.append(-sum((b[j] * E[d - j] for j in range(2, d + 1, 2)),
                       LaurentSeries.zero(0, qmax)))
-    shifts = [t.embed(nvars, slot) for t in taylor[:-1]]
-    return _pmul(shifts, [_lift(e, nvars) for e in E], xdeg)
+    return _pmul(taylor[:-1], [_lift(e, 1) for e in E], xdeg)
 
 
 # ----------------------------------------------------------------------
@@ -220,13 +217,15 @@ def integrand_expansion(dimc: int, nvars: int = 1, qmax: int = 10) -> dict:
 
     Maps each partition lam of dimc to the series coefficient of m_lam in
     the degree-dimc part of prod_j Phi(x_j), where Phi is the universal
-    factor multiplied over the nvars elliptic variables.
+    factor multiplied over the nvars elliptic variables: the one-variable
+    factor is built once and embedded in each slot.
     """
     from genera.series import LaurentSeries
 
-    phi = factor_polynomial(qmax, dimc, nvars=nvars, slot=0)
+    factor = factor_polynomial(qmax, dimc)
+    phi = [f.embed(nvars, 0) for f in factor]
     for i in range(1, nvars):
-        phi = _pmul(phi, factor_polynomial(qmax, dimc, nvars=nvars, slot=i), dimc)
+        phi = _pmul(phi, [f.embed(nvars, i) for f in factor], dimc)
     powers = [LaurentSeries.one(nvars, qmax)]
     for _ in range(dimc - 1):
         powers.append(powers[-1] * phi[0])

@@ -112,25 +112,26 @@ def _row(k: int, constant, **coeffs) -> tuple:
     return tuple(coeffs.get(n, 0) for n in UNKNOWNS[k]) + (constant,)
 
 
-def hk_ansatz(k: int, qmax: int = 2) -> tuple:
+def hk_ansatz(k: int) -> tuple:
     """The constrained genus ansatz as (coefficient row, basis form) pairs in
     the weight-0 monomial basis.
 
     The extreme y-coefficient c_0 = k + 1 pins the leading basis coefficient;
     the remaining coefficients carry the Euler number (and A for k = 3, where
     the index-3 slot is completed by the square of the odd generator).
+    Only the q^0 layer is matched, so the forms are built at qmax 0.
     """
     if k == 2:
-        p1 = jacobi.generator("phi01", qmax)
-        p2 = jacobi.generator("phi02", qmax)
+        p1 = jacobi.generator("phi01", 0)
+        p2 = jacobi.generator("phi02", 0)
         return (
             (_row(2, 3), p1 * p1),
             (_row(2, -72, Euler=Fraction(1, 6)), p2),
         )
     if k == 3:
-        p1 = jacobi.generator("phi01", qmax)
-        p2 = jacobi.generator("phi02", qmax)
-        p32 = jacobi.generator("phi032", qmax)
+        p1 = jacobi.generator("phi01", 0)
+        p2 = jacobi.generator("phi02", 0)
+        p32 = jacobi.generator("phi032", 0)
         return (
             (_row(3, 4), p1 * p1 * p1),
             (_row(3, 0, A=1), p1 * p2),
@@ -186,7 +187,7 @@ class HodgeSystem(Record):
                 and all(value(row) % mod == 0 for row, mod in self.parities))
 
 
-def hk_match(k: int, qmax: int = 2) -> HodgeSystem:
+def hk_match(k: int) -> HodgeSystem:
     """Match q^0 y-coefficients of the ansatz against the c_p sums.
 
     Equations: c_p = (coefficient of y^{k-p}) for p = 1..k, and the Euler
@@ -194,7 +195,7 @@ def hk_match(k: int, qmax: int = 2) -> HodgeSystem:
     asserted rather than stored.  Parities: 2 | h12 from 4 | b_3; for k = 3
     also 2 | h12 + h23 from 4 | b_5.
     """
-    ansatz = hk_ansatz(k, qmax)
+    ansatz = hk_ansatz(k)
     names = UNKNOWNS[k]
 
     def match(p):

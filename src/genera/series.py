@@ -68,11 +68,14 @@ def coeff_to_str(c: Fraction) -> str:
 
 
 def coeff_from_str(s) -> Fraction:
-    """A JSON integer, or a string read by Fraction; bools, floats and other
-    JSON values raise ValueError."""
+    """A JSON integer, or a string read by Fraction; bools, floats, other
+    JSON values and a zero denominator raise ValueError."""
     if type(s) is not int and not isinstance(s, str):
         raise ValueError(f"term coefficient must be a JSON integer or string, got {s!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"term coefficient {s!r} has a zero denominator") from None
 
 
 class _Coeffs(Mapping):

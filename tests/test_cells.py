@@ -143,9 +143,42 @@ def test_audit_out_of_window_product(tmp_path):
     with pytest.raises((cells.TableError, cells.WindowError)):
         cells.table_load(_write(tmp_path, bad))
     # action entries must be [gen, gen, result] lists, the action itself a list
-    for action in ([5], [["a", "a", "a"], "abc"], {"a": "a"}):
+    # and a zero product is the JSON integer 0, not false or 0.0
+    for action in ([5], [["a", "a", "a"], "abc"], {"a": "a"}, [["a", "b", False]],
+                   [["a", "b", 0.0]]):
         with pytest.raises(cells.TableError):
             cells.table_load(_write(tmp_path, toy_table(action=action)))
+
+
+def test_audit_action_result_degree_and_duplicates(tmp_path):
+    with pytest.raises(cells.TableError, match="product a\\*b has a in degree 0, expected 1"):
+        cells.table_load(_write(tmp_path, toy_table(action=[["a", "b", "a"]])))
+    with pytest.raises(cells.TableError, match="duplicate action entry a\\*b"):
+        cells.table_load(_write(tmp_path, toy_table(action=[["a", "b", 0], ["a", "b", 0]])))
+
+
+def test_graded_sign_on_odd_generators(tmp_path):
+    # x, y in degree 1 and z in degree 2, all Z, so y*x = -x*y is visible
+    odd = toy_table(
+        groups={"0": [{"order": 0, "gen": "one"}], "1": [{"order": 0, "gen": "x"},
+                {"order": 0, "gen": "y"}], "2": [{"order": 0, "gen": "z"}]},
+        action=[["one", "one", "one"], ["one", "x", "x"], ["one", "y", "y"],
+                ["one", "z", "z"], ["x", "y", "z"]],
+    )
+    t = cells.table_load(_write(tmp_path, odd))
+    assert cells.mult(t, t.unit("y"), t.unit("x")) == cells.Element(2, (-1,))
+    odd["action"].append(["y", "x", {"gen": "z", "mult": -1}])
+    cells.table_load(_write(tmp_path, odd))
+    odd["action"][-1] = ["y", "x", "z"]
+    with pytest.raises(cells.TableError, match="x\\*y breaks graded commutativity"):
+        cells.table_load(_write(tmp_path, odd))
+
+
+def test_undeclared_product_into_empty_degree_is_zero(tmp_path):
+    sparse = toy_table(action=[["a", "a", "a"], ["a", "b", 0]])
+    sparse["groups"]["2"] = []
+    t = cells.table_load(_write(tmp_path, sparse))
+    assert cells.mult(t, t.unit("b"), t.unit("b")) == cells.Element(2, ())
 
 
 def test_audit_window_shape(tmp_path):
@@ -236,6 +269,14 @@ def test_element_order_knu_law(pi_s):
 def test_element_order_mixed_degrees(pi_s):
     # lcm over degree components: order(eta) = 2, order(8 nu) = 3
     assert cells.element_order(pi_s, [(1, "eta"), (8, "nu")]) == 6
+
+
+def test_element_spec_must_be_one_degree_and_nonempty(pi_s):
+    with pytest.raises(cells.TableError, match="element spec has nu in degree 3, expected 1"):
+        pi_s.element([(1, "eta"), (1, "nu")])
+    for call in (pi_s.element, lambda spec: cells.element_order(pi_s, spec)):
+        with pytest.raises(cells.TableError, match="empty element spec"):
+            call([])
 
 
 def test_parse_element_spec():
@@ -331,6 +372,8 @@ def test_image_order_in_nu_cofiber(mod_nu, pi_tmf):
 
 def test_image_order_of_zero(mod_eta, pi_tmf):
     assert cells.image_order_in_cofiber(pi_tmf.element([(0, "nu")]), mod_eta, pi_tmf) == 1
+    # pi_tmf has no generator in degree 4, so its zero element has image order 1
+    assert cells.image_order_in_cofiber(cells.Element(4, ()), mod_eta, pi_tmf) == 1
 
 
 # ---------------------------------------------------------------- diagrams

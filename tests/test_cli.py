@@ -123,7 +123,8 @@ def test_jf_check_rejects_malformed_json(tmp_path, capsys):
             rc, out, err = run(capsys, "jf", "check", str(f))
             assert rc == 2 and out == ""
             assert err.startswith("error:") and key in err
-    for term, what in (([0.5, [0], "1"], "q-power"), ([0, ["0"], "1"], "y-exponent")):
+    for term, what in (([0.5, [0], "1"], "q-power"), ([0, ["0"], "1"], "y-exponent"),
+                       ([0, [0], "1/0"], "zero denominator")):
         f = tmp_path / "term.json"
         f.write_text(json.dumps({**good, "terms": [term]}))
         rc, out, err = run(capsys, "jf", "check", str(f))

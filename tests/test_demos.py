@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from genera import _intlin, genus, hodge, jacobi, modular, series
+from genera import _intlin, cells, genus, hodge, jacobi, modular, series
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -61,7 +61,7 @@ def test_hodge_demo_stdout_is_pinned():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, HODGE_DEMO_STDOUT, "")
 
 
-@pytest.mark.parametrize("module", [series, modular, jacobi, genus, hodge, _intlin],
+@pytest.mark.parametrize("module", [series, modular, jacobi, genus, hodge, cells, _intlin],
                          ids=lambda m: m.__name__)
 def test_doctests(module):
     result = doctest.testmod(module)

@@ -81,24 +81,19 @@ def test_factor_polynomial_bottom_is_a():
     for qmax in (2, 5):
         F = genus.factor_polynomial(qmax, 3)
         assert F[0] == jacobi.generator("a", qmax).series
-    # embedded slots carry the same series on their own variable
-    F2 = genus.factor_polynomial(3, 2, nvars=2, slot=1)
-    assert F2[0] == jacobi.generator("a", 3).series.embed(2, 1)
     # the higher coefficients, checked against F(x) at z = 0 and at q = 0
     qmax, xdeg = 3, 4
     # the Todd series x/(1 - e^{-x}) has x^d coefficient B_d / d! (B_1 = +1/2)
     todd = [_bernoulli_plus(d) / factorial(d) for d in range(xdeg + 1)]
-    for nvars, slot in ((1, 0), (2, 1)):
-        F = genus.factor_polynomial(qmax, xdeg, nvars=nvars, slot=slot)
-        assert len(F) == xdeg + 1
-        key = {r: tuple(r if i == slot else 0 for i in range(nvars)) for r in (1, -1)}
-        for d, Fd in enumerate(F):
-            # F(x, z=0) = x: every y_i = 1 leaves x alone
-            assert Fd.collapse_y() == LaurentSeries.const(0, qmax, int(d == 1))
-            # q^0 layer: y^{1/2} (1 - y^{-1} e^{-x}) x/(1 - e^{-x})
-            low = -sum(todd[d - j] * Fraction((-1) ** j, factorial(j)) for j in range(d + 1))
-            want = {key[1]: todd[d], key[-1]: low}
-            assert Fd.q_layer(0) == {R: c for R, c in want.items() if c}
+    F = genus.factor_polynomial(qmax, xdeg)
+    assert len(F) == xdeg + 1
+    for d, Fd in enumerate(F):
+        # F(x, z=0) = x: y = 1 leaves x alone
+        assert Fd.collapse_y() == LaurentSeries.const(0, qmax, int(d == 1))
+        # q^0 layer: y^{1/2} (1 - y^{-1} e^{-x}) x/(1 - e^{-x})
+        low = -sum(todd[d - j] * Fraction((-1) ** j, factorial(j)) for j in range(d + 1))
+        want = {(1,): todd[d], (-1,): low}
+        assert Fd.q_layer(0) == {R: c for R, c in want.items() if c}
 
 
 def test_two_variable_diagonal(k3):
