@@ -31,7 +31,7 @@ print("engine vs closed form for the easy SU constant:")
 from genera import divis
 
 for k in range(1, 13):
-    got = cells.dsu_easy(k)
+    got = cells.dsu_easy(k, pi_tmf, mod_eta)
     want = divis.d_su_easy_closed(k)
     print(f"  k={k:2}: engine={got}  closed={want}  agree={got == want}")
 

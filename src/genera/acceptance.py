@@ -125,9 +125,10 @@ def _crit_dsp_refinement() -> tuple[bool, str]:
 
 
 def _crit_dsu_easy() -> tuple[bool, str]:
+    table, cofib = cells.table_load("pi_tmf"), cells.complex_load("tmf_mod_eta")
     bad = []
     for k in range(1, 25):
-        got = cells.dsu_easy(k)
+        got = cells.dsu_easy(k, table, cofib)
         want = divis.d_su_easy_closed(k)
         if got != want:
             bad.append(f"k={k}: engine {got} vs closed {want}")

@@ -285,14 +285,31 @@ def _audit(table: GradedTable) -> None:
         if (gname != hname and (hname, gname) in table.action
                 and got != _swapped(table, table.gen(gname), table.gen(hname))):
             raise TableError(f"{gname}*{hname} breaks graded commutativity")
+    # associativity over memoized products: a triple is skipped when any
+    # product it needs raises WindowError or ProductError
+    products: dict = {}
+
+    def product(a: Element, b: Element) -> Element | None:
+        key = (a.degree, a.vector, b.degree, b.vector)
+        if key not in products:
+            try:
+                products[key] = mult(table, a, b)
+            except (WindowError, ProductError):
+                products[key] = None
+        return products[key]
+
     names = sorted(table.by_name)
+    units = {x: table.unit(x) for x in names}
     for x in names:
         for y in names:
+            xy = product(units[x], units[y])
+            if xy is None:
+                continue
             for z in names:
-                try:
-                    lhs = mult(table, mult(table, table.unit(x), table.unit(y)), table.unit(z))
-                    rhs = mult(table, table.unit(x), mult(table, table.unit(y), table.unit(z)))
-                except (WindowError, ProductError):
+                lhs = product(xy, units[z])
+                yz = product(units[y], units[z])
+                rhs = None if yz is None else product(units[x], yz)
+                if lhs is None or rhs is None:
                     continue
                 if lhs != rhs:
                     raise TableError(
@@ -499,24 +516,23 @@ def image_order_in_cofiber(element: Element, cplx: CellComplex, table: GradedTab
     return INF if got is None else got
 
 
-def dsu_easy(k: int):
+def dsu_easy(k: int, table: GradedTable, cofib: CellComplex):
     """Lower bound for the strict-SU divisibility constant via cell complexes.
 
-    k = 1 is the order of the unit (infinite), k = 2 the order of nu.  Even
-    k = 2k' pushes k'nu into the eta cofiber; odd k = 2k'+3 takes the order
-    of (eta, c nu) with c = 2k' when 4 | k' and c = k' otherwise.
+    table is pi_tmf and cofib the eta cofiber tmf_mod_eta, loaded once by the
+    caller for every k.  k = 1 is the order of the unit (infinite), k = 2 the
+    order of nu.  Even k = 2k' pushes k'nu into the eta cofiber; odd
+    k = 2k'+3 takes the order of (eta, c nu) with c = 2k' when 4 | k' and
+    c = k' otherwise.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    table = table_load("pi_tmf")
     if k == 1:
         return element_order(table, "one")
     if k == 2:
         return element_order(table, "nu")
     if k % 2 == 0:
-        kp = k // 2
-        cofib = complex_load("tmf_mod_eta")
-        return image_order_in_cofiber(table.element([(kp, "nu")]), cofib, table)
+        return image_order_in_cofiber(table.element([(k // 2, "nu")]), cofib, table)
     kp = (k - 3) // 2
     c = 2 * kp if kp % 4 == 0 else kp
     return element_order(table, [(1, "eta"), (c, "nu")])

@@ -189,9 +189,10 @@ def _cmd_cells_order(args, out) -> int:
 def _cmd_cells_dsu_easy(args, out) -> int:
     from genera import cells, divis
 
+    table, cofib = cells.table_load("pi_tmf"), cells.complex_load("tmf_mod_eta")
     rows = []
     for k in range(1, args.kmax + 1):
-        engine = cells.dsu_easy(k)
+        engine = cells.dsu_easy(k, table, cofib)
         closed = divis.d_su_easy_closed(k)
         rows.append(
             {

@@ -195,16 +195,17 @@ def factor_polynomial(qmax: int, xdeg: int) -> list[LaurentSeries]:
     <series nvars=0 qmax=2: 0>
     """
     from genera.jacobi import _lift, generator_a, z_taylor
-    from genera.series import LaurentSeries
 
     a = generator_a(qmax).series
     taylor = [z_taylor(a, i) for i in range(xdeg + 2)]
     b = [t.collapse_y() for t in taylor[1:]]
-    E = [LaurentSeries.one(0, qmax)]
+    # E_0 = 1 is never multiplied: its terms are b_d and a_d themselves (b_d = 0 for odd d)
+    E = [None]
     for d in range(1, xdeg + 1):
-        E.append(-sum((b[j] * E[d - j] for j in range(2, d + 1, 2)),
-                      LaurentSeries.zero(0, qmax)))
-    return _pmul(taylor[:-1], [_lift(e, 1) for e in E], xdeg)
+        E.append(-sum((b[j] * E[d - j] for j in range(2, d, 2)), b[d]))
+    lifted = [None] + [_lift(e, 1) for e in E[1:]]
+    return [sum((taylor[i] * lifted[d - i] for i in range(d)), taylor[d])
+            for d in range(xdeg + 1)]
 
 
 # ----------------------------------------------------------------------
@@ -226,11 +227,17 @@ def integrand_expansion(dimc: int, nvars: int = 1, qmax: int = 10) -> dict:
     phi = [f.embed(nvars, 0) for f in factor]
     for i in range(1, nvars):
         phi = _pmul(phi, [f.embed(nvars, i) for f in factor], dimc)
-    powers = [LaurentSeries.one(nvars, qmax)]
-    for _ in range(dimc - 1):
+    powers = [phi[0]]  # powers[j - 1] = F_0^j; F_0^0 = 1 is never multiplied in
+    for _ in range(dimc - 2):
         powers.append(powers[-1] * phi[0])
-    return {lam: reduce(mul, (phi[p] for p in lam), powers[dimc - len(lam)])
-            for lam in partitions(dimc)}
+    out = {}
+    for lam in partitions(dimc):
+        rest = dimc - len(lam)
+        factors = [phi[p] for p in lam]
+        if rest:
+            factors.insert(0, powers[rest - 1])
+        out[lam] = reduce(mul, factors) if factors else LaurentSeries.one(nvars, qmax)
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -31,12 +31,15 @@ leave integral series; the constructors assert that.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from genera import modular
-from genera.series import LaurentSeries, _build
+from genera.series import LaurentSeries, _build, _fraction, _scalar
 from genera.values import Record, json_int, require_keys
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 GENERATOR_NAMES = ("a", "phi01", "phi032", "phi02", "phi04")
 
@@ -79,7 +82,7 @@ class JacobiForm(Record):
             lifted = _lift(other.series, self.nvars)
             return JacobiForm(self.weight2 + other.weight2, self.index2,
                               self.series * lifted)
-        if isinstance(other, (int, Fraction)):
+        if _scalar(other) is not None:
             return JacobiForm(self.weight2, self.index2, self.series * other)
         return NotImplemented
 
@@ -111,6 +114,11 @@ class JacobiForm(Record):
         require_keys(obj, "weight2", "index2")
         return cls(json_int("weight2", obj["weight2"]), json_int("index2", obj["index2"]),
                    LaurentSeries.from_obj(obj))
+
+
+def _divided(s: LaurentSeries, d: int) -> LaurentSeries:
+    """s / d for an integer d >= 1; raises unless the quotient is integral."""
+    return _build(s.nvars, s.qmax, s.nums, s.den * d).as_integral()
 
 
 def _lift(s: LaurentSeries, nvars: int) -> LaurentSeries:
@@ -210,14 +218,14 @@ def _phi02(qmax: int) -> JacobiForm:
     a4 = generator_a(qmax) ** 4
     e4a4 = modular.e4(qmax) * a4  # weight2: 8 + (-8) = 0
     s = (p1 ** 2).series - e4a4.series
-    return JacobiForm(0, 4, (s * Fraction(1, 24)).as_integral())
+    return JacobiForm(0, 4, _divided(s, 24))
 
 
 @lru_cache(maxsize=None)
 def _phi04(qmax: int) -> JacobiForm:
     """Weight 0, doubled index 8, ev = 3: (phi01 phi032^2 - phi02^2)/4, exactly."""
     s = (_phi01(qmax) * _phi032(qmax) ** 2).series - (_phi02(qmax) ** 2).series
-    return JacobiForm(0, 8, (s * Fraction(1, 4)).as_integral())
+    return JacobiForm(0, 8, _divided(s, 4))
 
 
 def generator(name: str, qmax: int) -> JacobiForm:
@@ -288,7 +296,7 @@ def check_elliptic_law(f: JacobiForm, lam: int) -> EllipticLawReport:
         if n2 > f.qmax:
             continue
         expected = sign * f.coeff(n, R)
-        got = f.coeff(n2, R2) if n2 >= 0 else Fraction(0)
+        got = f.coeff(n2, R2) if n2 >= 0 else _fraction(0)
         checked += 1
         if got != expected:
             violations.append((n, R, n2, R2, expected, got))

@@ -13,10 +13,13 @@ True
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from genera.series import LaurentSeries
+from genera.series import LaurentSeries, _scalar
 from genera.values import Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def sigma(k: int, n: int) -> int:
@@ -57,7 +60,7 @@ class QExpansion(Record):
     def __mul__(self, other):
         if isinstance(other, QExpansion):
             return QExpansion(self.weight2 + other.weight2, self.series * other.series)
-        if isinstance(other, (int, Fraction)):
+        if _scalar(other) is not None:
             return QExpansion(self.weight2, self.series * other)
         return NotImplemented
 
@@ -69,9 +72,9 @@ class QExpansion(Record):
 
 def _eisenstein(weight: int, c: int, qmax: int) -> QExpansion:
     """1 + c * sum_{n>=1} sigma_{weight-1}(n) q^n, tagged with the given weight."""
-    coeffs = {(0, ()): Fraction(1)}
+    coeffs = {(0, ()): 1}
     for n in range(1, qmax + 1):
-        coeffs[(n, ())] = Fraction(c * sigma(weight - 1, n))
+        coeffs[(n, ())] = c * sigma(weight - 1, n)
     return QExpansion(2 * weight, LaurentSeries(0, qmax, coeffs))
 
 

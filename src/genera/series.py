@@ -10,12 +10,20 @@ from keys to nonzero integer numerators: the coefficient of a key is
 nums[key] / den. The pair is kept normalized, gcd(den, every numerator) = 1,
 so den is the least common denominator of the coefficients: it is 1 exactly
 when the series is integral, and 1 for the zero series. Each series has one
-stored form, which == and hash compare. `coeffs` is a read-only mapping view
-that shows the same terms with fractions.Fraction coefficients; iterating
-it, `in`, `len` and `keys()` build no Fraction.
+stored form, which == and hash compare.
 
-Series are immutable by convention: no method mutates self, every operation
-returns a fresh instance. Binary operations truncate to the smaller qmax.
+The arithmetic runs on these integers alone, and the module imports
+`fractions` only where a Fraction is asked for: the accessors `coeff`,
+`q_layer`, `terms` and the read-only mapping view `coeffs` (whose
+iteration, `in`, `len` and `keys()` build none) return fractions.Fraction
+coefficients, `coeff_from_str` parses into one, and the constructor reads
+a value other than an int or a Fraction through Fraction(value). Scalar
+operands of +, - and * are an int (bool included) or a Fraction; `to_obj`
+writes "p/q" strings straight from the numerators and den.
+
+Series are immutable by convention: no method mutates self, so an operation
+whose result is an operand (x ** 1, a truncation to the same qmax) may return
+that operand. Binary operations truncate to the smaller qmax.
 The public constructor and `from_obj` check every key and value; results of
 operations on series that are already valid come from `_build`, which checks
 nothing and only normalizes.
@@ -51,20 +59,37 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections.abc import Iterable, Iterator, Mapping
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from genera.values import json_int, require_keys
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Dense packing is used while (product slots) <= MAX_SLOTS_PER_PAIR * #a * #b.
 MAX_SLOTS_PER_PAIR = 16
 
 
+def _ratio_str(p: int, q: int) -> str:
+    """The string of p/q for q >= 1, reduced, with the sign on the numerator:
+    a decimal integer when q divides p, "p/q" otherwise."""
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
 def coeff_to_str(c: Fraction) -> str:
     """Decimal string for integers, "p/q" otherwise. Exact either way."""
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
+    return _ratio_str(c.numerator, c.denominator)
+
+
+def _fraction(*args) -> Fraction:
+    """fractions.Fraction(*args); the first call loads `fractions`."""
+    from fractions import Fraction
+
+    return Fraction(*args)
 
 
 def coeff_from_str(s) -> Fraction:
@@ -73,7 +98,7 @@ def coeff_from_str(s) -> Fraction:
     if type(s) is not int and not isinstance(s, str):
         raise ValueError(f"term coefficient must be a JSON integer or string, got {s!r}")
     try:
-        return Fraction(s)
+        return _fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"term coefficient {s!r} has a zero denominator") from None
 
@@ -87,7 +112,7 @@ class _Coeffs(Mapping):
         self._den = den
 
     def __getitem__(self, key) -> Fraction:
-        return Fraction(self._nums[key], self._den)
+        return _fraction(self._nums[key], self._den)
 
     def __iter__(self):
         return iter(self._nums)
@@ -100,6 +125,21 @@ class _Coeffs(Mapping):
 
     def keys(self):
         return self._nums.keys()
+
+
+def _scalar(x) -> tuple[int, int] | None:
+    """(p, q) with x = p/q in lowest terms and q >= 1 when x is an int (bool
+    included) or a fractions.Fraction; None for any other value.
+
+    A Fraction exists only once `fractions` is loaded, so looking it up in
+    sys.modules is exact and imports nothing.
+    """
+    if isinstance(x, int):
+        return int(x), 1
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(x, fractions.Fraction):
+        return x.numerator, x.denominator
+    return None
 
 
 def _build(nvars: int, qmax: int, nums: dict, den: int = 1) -> "LaurentSeries":
@@ -142,7 +182,7 @@ class LaurentSeries:
             raise ValueError("qmax must be >= 0")
         self.nvars = nvars
         self.qmax = qmax
-        clean: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+        clean: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
         if coeffs:
             for key, val in coeffs.items():
                 n, R = key
@@ -155,13 +195,16 @@ class LaurentSeries:
                     raise ValueError(f"negative q-power in key {key!r}")
                 if n > qmax:
                     continue  # silently truncate
-                c = val if isinstance(val, Fraction) else Fraction(val)
-                if c != 0:
-                    clean[(n, R)] = c
+                pq = _scalar(val)
+                if pq is None:
+                    c = _fraction(val)
+                    pq = c.numerator, c.denominator
+                if pq[0]:
+                    clean[(n, R)] = pq
         # the least common denominator of reduced fractions leaves gcd 1
-        den = math.lcm(*(c.denominator for c in clean.values()))
+        den = math.lcm(*(q for _p, q in clean.values()))
         self.den = den
-        self.nums = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
+        self.nums = {k: p * (den // q) for k, (p, q) in clean.items()}
 
     # ------------------------------------------------------------------
     # constructors
@@ -172,15 +215,15 @@ class LaurentSeries:
 
     @classmethod
     def one(cls, nvars: int, qmax: int) -> "LaurentSeries":
-        return cls(nvars, qmax, {(0, (0,) * nvars): Fraction(1)})
+        return cls(nvars, qmax, {(0, (0,) * nvars): 1})
 
     @classmethod
     def const(cls, nvars: int, qmax: int, c) -> "LaurentSeries":
-        return cls(nvars, qmax, {(0, (0,) * nvars): Fraction(c)})
+        return cls(nvars, qmax, {(0, (0,) * nvars): c})
 
     @classmethod
     def monomial(cls, nvars: int, qmax: int, n: int, R: Iterable[int], c=1) -> "LaurentSeries":
-        return cls(nvars, qmax, {(n, tuple(R)): Fraction(c)})
+        return cls(nvars, qmax, {(n, tuple(R)): c})
 
     # ------------------------------------------------------------------
     # inspection
@@ -204,15 +247,15 @@ class LaurentSeries:
             if self.nvars != 1:
                 raise ValueError("integer R only allowed for nvars == 1")
             R = (R,)
-        return Fraction(self.nums.get((n, tuple(R)), 0), self.den)
+        return _fraction(self.nums.get((n, tuple(R)), 0), self.den)
 
     def q_layer(self, n: int) -> dict[tuple[int, ...], Fraction]:
         """All y-coefficients of q^n, as a dict R-tuple -> Fraction."""
-        return {R: Fraction(v, self.den) for (m, R), v in self.nums.items() if m == n}
+        return {R: _fraction(v, self.den) for (m, R), v in self.nums.items() if m == n}
 
     def terms(self) -> Iterator[tuple[int, tuple[int, ...], Fraction]]:
         for (n, R), v in sorted(self.nums.items()):
-            yield n, R, Fraction(v, self.den)
+            yield n, R, _fraction(v, self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentSeries):
@@ -271,10 +314,16 @@ class LaurentSeries:
             return self.nums
         return {k: v for k, v in self.nums.items() if k[0] <= qmax}
 
+    def _constant(self, pq: tuple[int, int]) -> "LaurentSeries":
+        """The constant p/q in the ring and at the qmax of self."""
+        p, q = pq
+        return _build(self.nvars, self.qmax, {(0, (0,) * self.nvars): p} if p else {}, q)
+
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentSeries.const(self.nvars, self.qmax, other)
-        if not isinstance(other, LaurentSeries):
+        pq = _scalar(other)
+        if pq is not None:
+            other = self._constant(pq)
+        elif not isinstance(other, LaurentSeries):
             return NotImplemented
         qmax = self._common(other)
         den = math.lcm(self.den, other.den)
@@ -294,9 +343,10 @@ class LaurentSeries:
         return _build(self.nvars, self.qmax, {k: -v for k, v in self.nums.items()}, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentSeries.const(self.nvars, self.qmax, other)
-        if not isinstance(other, LaurentSeries):
+        pq = _scalar(other)
+        if pq is not None:
+            other = self._constant(pq)
+        elif not isinstance(other, LaurentSeries):
             return NotImplemented
         return self + (-other)
 
@@ -304,13 +354,13 @@ class LaurentSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
+        pq = _scalar(other)
+        if pq is not None:
+            p, q = pq
+            if p == 0:
                 return _build(self.nvars, self.qmax, {})
-            p = c.numerator
             return _build(self.nvars, self.qmax, {k: v * p for k, v in self.nums.items()},
-                          self.den * c.denominator)
+                          self.den * q)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         qmax = self._common(other)
@@ -387,14 +437,17 @@ class LaurentSeries:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("only nonnegative integer powers")
-        result = LaurentSeries.one(self.nvars, self.qmax)
+        if k == 0:
+            return LaurentSeries.one(self.nvars, self.qmax)
+        result = None  # the constant 1, never multiplied in
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def inverse(self) -> "LaurentSeries":
         """Multiplicative inverse of a pure q-series (every y-exponent 0).
@@ -464,7 +517,7 @@ class LaurentSeries:
     def as_integral(self) -> "LaurentSeries":
         """Return self; raises if any coefficient is fractional."""
         if self.den != 1:
-            bad = [(k, Fraction(v, self.den)) for k, v in sorted(self.nums.items())
+            bad = [(k, _fraction(v, self.den)) for k, v in sorted(self.nums.items())
                    if v % self.den][:3]
             raise ValueError(f"non-integral coefficients, e.g. {bad}")
         return self
@@ -478,7 +531,7 @@ class LaurentSeries:
             "nvars": self.nvars,
             "qmax": self.qmax,
             "integral": den == 1,
-            "terms": [[n, list(R), str(v) if den == 1 else coeff_to_str(Fraction(v, den))]
+            "terms": [[n, list(R), str(v) if den == 1 else _ratio_str(v, den)]
                       for (n, R), v in sorted(self.nums.items())],
         }
 

@@ -133,8 +133,57 @@ def test_audit_associativity(tmp_path):
         ["a", "b", {"gen": "b", "mult": 1}],
     ]
     # (a a) b = 0 but a (a b) = b
-    with pytest.raises(cells.TableError):
+    with pytest.raises(cells.TableError, match=r"associativity fails on \(a, a, b\)"):
         cells.table_load(_write(tmp_path, bad))
+
+
+def _first_nonassociative_triple(table):
+    # the audit's associativity rule, one triple at a time with no memo
+    names = sorted(table.by_name)
+    for x in names:
+        for y in names:
+            for z in names:
+                u = table.unit
+                try:
+                    lhs = cells.mult(table, cells.mult(table, u(x), u(y)), u(z))
+                    rhs = cells.mult(table, u(x), cells.mult(table, u(y), u(z)))
+                except (cells.WindowError, cells.ProductError):
+                    continue
+                if lhs != rhs:
+                    return x, y, z
+    return None
+
+
+@pytest.mark.parametrize("name", ["pi_S", "pi_tmf"])
+def test_memoized_associativity_audit_matches_triple_by_triple(tmp_path, monkeypatch, name):
+    # every shipped table with one product dropped or sent to zero: the audit
+    # rejects exactly the tables the unmemoized rule rejects, at the same triple
+    raw = json.loads(pathlib.Path(resolve_data(name)).read_text())
+    variants = []
+    for i, (g, h, _res) in enumerate(raw["action"]):
+        rest = raw["action"][:i] + raw["action"][i + 1:]
+        variants += [rest, rest + [[g, h, 0]]]
+    real_audit = cells._audit
+    monkeypatch.setattr(cells, "_audit", lambda table: None)
+    outcomes = {"rejected": 0, "accepted": 0}
+    try:
+        for n, action in enumerate(variants):
+            table = cells.table_load(_write(tmp_path, {**raw, "action": action}, f"v{n}.json"))
+            want = _first_nonassociative_triple(table)
+            try:
+                real_audit(table)
+            except cells.TableError as exc:
+                if "associativity" not in str(exc):
+                    continue  # an earlier audit rejects the table first
+                assert want is not None and str(exc).startswith(
+                    f"associativity fails on ({', '.join(want)})"), (n, exc)
+                outcomes["rejected"] += 1
+            else:
+                assert want is None, (n, want)
+                outcomes["accepted"] += 1
+    finally:
+        cells._table_from_text.cache_clear()
+    assert all(outcomes.values()), outcomes
 
 
 def test_audit_out_of_window_product(tmp_path):
@@ -231,7 +280,7 @@ def test_dsu_easy_audits_pi_tmf_once(monkeypatch):
     monkeypatch.setattr(cells, "_audit", counting_audit)
     cells._table_from_text.cache_clear()
     for k in range(1, 25):
-        cells.dsu_easy(k)
+        cells.dsu_easy(k, cells.table_load("pi_tmf"), cells.complex_load("tmf_mod_eta"))
     assert audited == ["pi_tmf"]
 
 
@@ -452,13 +501,13 @@ def test_attach_degree_checked(tmp_path, pi_tmf):
 
 # ---------------------------------------------------------------- dsu
 
-def test_dsu_easy_matches_closed_form():
+def test_dsu_easy_matches_closed_form(pi_tmf, mod_eta):
     from genera import divis
 
     for k in range(1, 25):
-        assert cells.dsu_easy(k) == divis.d_su_easy_closed(k), k
+        assert cells.dsu_easy(k, pi_tmf, mod_eta) == divis.d_su_easy_closed(k), k
 
 
-def test_dsu_easy_validation():
+def test_dsu_easy_validation(pi_tmf, mod_eta):
     with pytest.raises(ValueError):
-        cells.dsu_easy(0)
+        cells.dsu_easy(0, pi_tmf, mod_eta)

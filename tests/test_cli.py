@@ -541,6 +541,63 @@ def test_series_commands_import_only_what_they_run(tmp_path):
     assert got == {"at_import": [], "codes": [0, 0, 0], "dataclasses_after": False}
 
 
+FRACTIONS_PROBE = """
+import contextlib, io, json, os, sys
+import genera.cli
+chern = os.path.join(sys.argv[1], "c3.json")
+with open(chern, "w") as fh:
+    json.dump({"label": "c3", "dimc": 3, "numbers": {"3": 1, "2,1": 0, "1,1,1": 0}}, fh)
+commands = [["jf", "gen", name, "--qmax", "6"]
+            for name in ("a", "phi01", "phi032", "phi02", "phi04")]
+commands += [["genus", "compute", "--chern", "k3", "--qmax", "6"],
+             ["genus", "compute", "--chern", "k3", "--nvars", "2", "--qmax", "4"],
+             ["genus", "compute", "--chern", "quintic", "--qmax", "4"],
+             ["genus", "compute", "--chern", chern, "--nvars", "3", "--qmax", "2"],
+             ["divis", "verify-clas", "--kmax", "12"]]
+codes, integral = [], []
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        codes.append(genera.cli.main(argv))
+    if argv[0] == "genus":
+        integral.append(json.loads(buf.getvalue())["integral"])
+stdlib = ("fractions", "decimal", "numbers")
+before_hk = [m for m in stdlib if m in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(genera.cli.main(["hk", "solve", "--k", "2"]))
+print(json.dumps({"codes": codes, "integral": integral, "before_hk": before_hk,
+                  "after_hk": [m for m in stdlib if m in sys.modules]}))
+"""
+
+
+def test_series_commands_run_without_fractions(tmp_path):
+    # the series stack runs on integers; only hk solve (and jf check) build Fractions
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", FRACTIONS_PROBE, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "codes": [0] * 11, "integral": [True, True, True, False], "before_hk": [],
+        "after_hk": ["fractions", "decimal", "numbers"]}
+
+
+def test_cells_dsu_easy_reads_each_data_file_once(capsys, monkeypatch):
+    from genera import cells
+
+    loads = []
+
+    def counted(load):
+        def wrapper(path):
+            loads.append(path)
+            return load(path)
+        return wrapper
+
+    monkeypatch.setattr(cells, "table_load", counted(cells.table_load))
+    monkeypatch.setattr(cells, "complex_load", counted(cells.complex_load))
+    rc, _out, _ = run(capsys, "cells", "dsu-easy", "--kmax", "40")
+    assert rc == 0
+    assert sorted(loads) == ["pi_tmf", "tmf_mod_eta"]
+
+
 CHECKS_PROBE = """
 import contextlib, io, json, sys
 import genera.cli
@@ -549,23 +606,26 @@ exact = (["cells", "order", "--table", "pi_tmf", "--element", "eta,2*nu"],
          ["cells", "dsu-easy", "--kmax", "12"],
          ["divis", "verdict", "--structure", "Sp", "--k", "3", "--euler", "24"],
          ["genus", "euler", "--chern", "k3"])
-series = (["divis", "verify-clas", "--kmax", "12"],
-          ["hk", "solve", "--k", "3"])
+watched = ("fractions", "decimal", "genera.series", "genera.modular", "genera.jacobi")
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [genera.cli.main(c) for c in exact]
-    series_after_exact = [m for m in ("fractions", "decimal", "genera.series",
-                                      "genera.modular", "genera.jacobi") if m in sys.modules]
-    codes += [genera.cli.main(c) for c in series]
+    series_after_exact = [m for m in watched if m in sys.modules]
+    codes.append(genera.cli.main(["divis", "verify-clas", "--kmax", "12"]))
+    series_after_verify_clas = [m for m in watched if m in sys.modules]
+    codes.append(genera.cli.main(["hk", "solve", "--k", "3"]))
 print(json.dumps({"codes": codes, "dataclasses_after": "dataclasses" in sys.modules,
-                  "series_after_exact": series_after_exact}))
+                  "series_after_exact": series_after_exact,
+                  "series_after_verify_clas": series_after_verify_clas}))
 """
 
 
 def test_check_commands_never_import_dataclasses():
-    # nor, before the first command that reads a series, fractions or the series layer
+    # nor, before the first command that reads a series, the series layer;
+    # verify-clas loads that layer but not fractions
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", CHECKS_PROBE],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"codes": [0] * 7, "dataclasses_after": False,
-                                       "series_after_exact": []}
+    assert json.loads(proc.stdout) == {
+        "codes": [0] * 7, "dataclasses_after": False, "series_after_exact": [],
+        "series_after_verify_clas": ["genera.series", "genera.modular", "genera.jacobi"]}

@@ -173,7 +173,7 @@ def test_truncation_commutes_with_product(f, g):
 @given(series_st())
 def test_pow_matches_repeated_product(f):
     acc = LaurentSeries.one(1, QMAX)
-    for k in range(4):
+    for k in range(8):
         assert f**k == acc
         acc = acc * f
 
@@ -314,3 +314,47 @@ def test_products_and_sums_skip_the_validating_constructor(monkeypatch):
 @given(st.fractions(max_denominator=50))
 def test_coeff_string_roundtrip(c):
     assert coeff_from_str(coeff_to_str(c)) == c
+
+
+@given(st.integers(0, 2).flatmap(lambda nvars: st.tuples(
+    st.just(nvars),
+    st.dictionaries(st.tuples(st.integers(0, QMAX), st.tuples(*[st.integers(-4, 4)] * nvars)),
+                    st.integers(-60, 60).filter(bool), min_size=1, max_size=8),
+    st.integers(2, 60))))
+def test_to_obj_writes_each_coefficient_in_lowest_terms(case):
+    nvars, nums, den = case
+    f = LaurentSeries(nvars, QMAX, {k: Fraction(v, den) for k, v in nums.items()})
+    for n, R, text in f.to_obj()["terms"]:
+        c = Fraction(f.nums[(n, tuple(R))], f.den)
+        assert text == coeff_to_str(c) == str(c)
+
+
+def test_scalar_operands_and_constructor_values():
+    from decimal import Decimal
+
+    s = LaurentSeries(1, 2, {(0, (0,)): Fraction(3, 2), (1, (2,)): -5, (2, (-2,)): Fraction(-7, 4)})
+    assert s * True == s == True * s
+    assert (s * Fraction(1, 3) == Fraction(1, 3) * s
+            == LaurentSeries(1, 2, {(0, (0,)): Fraction(1, 2), (1, (2,)): Fraction(-5, 3),
+                                    (2, (-2,)): Fraction(-7, 12)}))
+    assert s + 2 == 2 + s == LaurentSeries(1, 2, {(0, (0,)): Fraction(7, 2), (1, (2,)): -5,
+                                                  (2, (-2,)): Fraction(-7, 4)})
+    assert s - Fraction(1, 2) == LaurentSeries(1, 2, {(0, (0,)): 1, (1, (2,)): -5,
+                                                      (2, (-2,)): Fraction(-7, 4)})
+    assert (s - Fraction(3, 2)).coeff(0, 0) == 0 and (0, (0,)) not in (s - Fraction(3, 2)).nums
+    for bad in (0.5, "2", Decimal(2)):
+        for op in (lambda: s * bad, lambda: bad * s, lambda: s + bad, lambda: s - bad):
+            with pytest.raises(TypeError):
+                op()
+    # values other than int and Fraction are read through Fraction(value)
+    for val, stored in ((0.5, (2, 1)), ("-3/4", (4, -3)), (Decimal("1.25"), (4, 5)),
+                        (True, (1, 1)), (Fraction(6, 4), (2, 3))):
+        t = LaurentSeries(0, 1, {(1, ()): val})
+        assert (t.den, t.nums) == (stored[0], {(1, ()): stored[1]})
+    with pytest.raises(TypeError):
+        LaurentSeries(0, 1, {(1, ()): None})
+    # the accessors return fractions.Fraction
+    assert type(s.coeff(1, 2)) is Fraction and type(s.coeff(1, 4)) is Fraction
+    assert all(type(c) is Fraction for c in s.q_layer(0).values())
+    assert all(type(c) is Fraction for _n, _R, c in s.terms())
+    assert type(s.coeffs[(1, (2,))]) is Fraction
