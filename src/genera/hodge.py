@@ -11,11 +11,14 @@ under the symmetries h^{p,q} = h^{q,p} = h^{p,2k-q} yields a small linear
 system over the independent Hodge numbers.  Integer elimination against the
 parity facts 4 | b_3 (and 4 | b_5 for k = 3) then forces a divisor of the
 Euler number: 12 for k = 2, 8 for k = 3.
+
+The ansatz is stored over one denominator: integer coefficient rows whose
+values are den times the true ones. The matching scales each c_p by den
+instead, so every relation row is built from integers alone.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from genera import _intlin, jacobi
@@ -41,7 +44,7 @@ def primitive(names: tuple, row) -> tuple:
     and whose first nonzero coefficient in name order (the constant last) is
     positive; the zero row stays zero.
 
-    >>> primitive(("x", "y"), (Fraction(-3, 2), 3, Fraction(1, 2)))
+    >>> primitive(("x", "y"), (-6, 12, 2))
     (3, -6, -1)
     """
     den = lcm(*(v.denominator for v in row))
@@ -113,29 +116,31 @@ def _row(k: int, constant, **coeffs) -> tuple:
 
 
 def hk_ansatz(k: int) -> tuple:
-    """The constrained genus ansatz as (coefficient row, basis form) pairs in
-    the weight-0 monomial basis.
+    """The constrained genus ansatz as (den, pairs): (coefficient row, basis
+    form) pairs in the weight-0 monomial basis, each row den times the true
+    coefficients of the basis form.
 
     The extreme y-coefficient c_0 = k + 1 pins the leading basis coefficient;
-    the remaining coefficients carry the Euler number (and A for k = 3, where
-    the index-3 slot is completed by the square of the odd generator).
-    Only the q^0 layer is matched, so the forms are built at qmax 0.
+    the remaining coefficients carry the Euler number (Euler/6 at k = 2,
+    Euler/4 at k = 3, hence den) and, for k = 3, A, where the index-3 slot is
+    completed by the square of the odd generator. The basis forms are
+    integral. Only the q^0 layer is matched, so the forms are built at qmax 0.
     """
     if k == 2:
         p1 = jacobi.generator("phi01", 0)
         p2 = jacobi.generator("phi02", 0)
-        return (
-            (_row(2, 3), p1 * p1),
-            (_row(2, -72, Euler=Fraction(1, 6)), p2),
+        return 6, (
+            (_row(2, 18), p1 * p1),
+            (_row(2, -432, Euler=1), p2),
         )
     if k == 3:
         p1 = jacobi.generator("phi01", 0)
         p2 = jacobi.generator("phi02", 0)
         p32 = jacobi.generator("phi032", 0)
-        return (
-            (_row(3, 4), p1 * p1 * p1),
-            (_row(3, 0, A=1), p1 * p2),
-            (_row(3, -1728, Euler=Fraction(1, 4), A=-18), p32 * p32),
+        return 4, (
+            (_row(3, 16), p1 * p1 * p1),
+            (_row(3, 0, A=4), p1 * p2),
+            (_row(3, -6912, Euler=1, A=-72), p32 * p32),
         )
     raise HodgeError(f"no ansatz for k = {k}; only k = 2 and 3 are worked out")
 
@@ -195,14 +200,16 @@ def hk_match(k: int) -> HodgeSystem:
     asserted rather than stored.  Parities: 2 | h12 from 4 | b_3; for k = 3
     also 2 | h12 + h23 from 4 | b_5.
     """
-    ansatz = hk_ansatz(k)
+    den, ansatz = hk_ansatz(k)
     names = UNKNOWNS[k]
 
     def match(p):
-        # c_p minus the ansatz's q^0 coefficient of y^{k-p} (doubled exponent 2(k-p))
-        row = cp_row(k, p)
+        # den times (c_p minus the ansatz's q^0 coefficient of y^{k-p}, doubled
+        # exponent 2(k-p)); each basis form is integral, so c is its numerator
+        key = (0, (2 * (k - p),))
+        row = tuple(den * v for v in cp_row(k, p))
         for coeffs, form in ansatz:
-            c = form.series.coeff(0, (2 * (k - p),))
+            c = form.series.nums.get(key, 0)
             row = tuple(a - c * b for a, b in zip(row, coeffs))
         return row
 

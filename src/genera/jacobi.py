@@ -282,24 +282,28 @@ def check_elliptic_law(f: JacobiForm, lam: int) -> EllipticLawReport:
     # stored keys plus in-window preimages of stored keys: the latter catch a
     # nonzero target paired with an absent (zero) source. A source beyond
     # qmax is unknown, not zero, so it is never a candidate.
+    nums = f.series.nums
     candidates = set()
-    for (n, (R,)) in f.series.coeffs:
+    for (n, (R,)) in nums:
         candidates.add((n, R))
         pn, pR = image(n, R, -lam)
         if 0 <= pn <= f.qmax:
             candidates.add((pn, pR))
 
+    # both sides are over the one den, so comparing numerators is exact; a
+    # target with negative q-power is never stored and reads as zero
     checked = 0
     violations = []
     for (n, R) in sorted(candidates):
         n2, R2 = image(n, R, lam)
         if n2 > f.qmax:
             continue
-        expected = sign * f.coeff(n, R)
-        got = f.coeff(n2, R2) if n2 >= 0 else _fraction(0)
+        expected = sign * nums.get((n, (R,)), 0)
+        got = nums.get((n2, (R2,)), 0)
         checked += 1
         if got != expected:
-            violations.append((n, R, n2, R2, expected, got))
+            den = f.series.den
+            violations.append((n, R, n2, R2, _fraction(expected, den), _fraction(got, den)))
     return EllipticLawReport(lam, checked, tuple(violations), checked == 0)
 
 
@@ -307,10 +311,8 @@ def is_even(f: JacobiForm) -> bool:
     """True iff c(n, R) = c(n, -R) for every stored term (single variable)."""
     if f.nvars != 1:
         raise ValueError("evenness check is single-variable")
-    for (n, (R,)), c in f.series.coeffs.items():
-        if f.coeff(n, -R) != c:
-            return False
-    return True
+    nums = f.series.nums
+    return all(nums.get((n, (-R,)), 0) == c for (n, (R,)), c in nums.items())
 
 
 # ----------------------------------------------------------------------

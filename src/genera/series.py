@@ -16,10 +16,11 @@ The arithmetic runs on these integers alone, and the module imports
 `fractions` only where a Fraction is asked for: the accessors `coeff`,
 `q_layer`, `terms` and the read-only mapping view `coeffs` (whose
 iteration, `in`, `len` and `keys()` build none) return fractions.Fraction
-coefficients, `coeff_from_str` parses into one, and the constructor reads
-a value other than an int or a Fraction through Fraction(value). Scalar
-operands of +, - and * are an int (bool included) or a Fraction; `to_obj`
-writes "p/q" strings straight from the numerators and den.
+coefficients, `coeff_from_str` parses a coefficient string that is not a
+decimal integer into one, and the constructor reads a value other than an
+int or a Fraction through Fraction(value). Scalar operands of +, - and *
+are an int (bool included) or a Fraction; `to_obj` writes "p/q" strings
+straight from the numerators and den.
 
 Series are immutable by convention: no method mutates self, so an operation
 whose result is an operand (x ** 1, a truncation to the same qmax) may return
@@ -92,11 +93,16 @@ def _fraction(*args) -> Fraction:
     return Fraction(*args)
 
 
-def coeff_from_str(s) -> Fraction:
-    """A JSON integer, or a string read by Fraction; bools, floats, other
-    JSON values and a zero denominator raise ValueError."""
-    if type(s) is not int and not isinstance(s, str):
+def coeff_from_str(s) -> int | Fraction:
+    """A JSON integer as is, a string of ASCII digits with an optional leading
+    "-" through int(), and any other string through Fraction; bools, floats,
+    other JSON values and a zero denominator raise ValueError."""
+    if type(s) is int:
+        return s
+    if not isinstance(s, str):
         raise ValueError(f"term coefficient must be a JSON integer or string, got {s!r}")
+    if s.isascii() and s.removeprefix("-").isdigit():
+        return int(s)
     try:
         return _fraction(s)
     except ZeroDivisionError:
@@ -216,10 +222,6 @@ class LaurentSeries:
     @classmethod
     def one(cls, nvars: int, qmax: int) -> "LaurentSeries":
         return cls(nvars, qmax, {(0, (0,) * nvars): 1})
-
-    @classmethod
-    def const(cls, nvars: int, qmax: int, c) -> "LaurentSeries":
-        return cls(nvars, qmax, {(0, (0,) * nvars): c})
 
     @classmethod
     def monomial(cls, nvars: int, qmax: int, n: int, R: Iterable[int], c=1) -> "LaurentSeries":

@@ -553,31 +553,46 @@ commands += [["genus", "compute", "--chern", "k3", "--qmax", "6"],
              ["genus", "compute", "--chern", "k3", "--nvars", "2", "--qmax", "4"],
              ["genus", "compute", "--chern", "quintic", "--qmax", "4"],
              ["genus", "compute", "--chern", chern, "--nvars", "3", "--qmax", "2"],
-             ["divis", "verify-clas", "--kmax", "12"]]
+             ["divis", "verify-clas", "--kmax", "12"],
+             ["hk", "solve", "--k", "2"],
+             ["hk", "solve", "--k", "3"],
+             ["selftest"]]
 codes, integral = [], []
+form = os.path.join(sys.argv[1], "phi032.json")
 for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()) as buf:
         codes.append(genera.cli.main(argv))
     if argv[0] == "genus":
         integral.append(json.loads(buf.getvalue())["integral"])
-stdlib = ("fractions", "decimal", "numbers")
-before_hk = [m for m in stdlib if m in sys.modules]
+    if argv[:3] == ["jf", "gen", "phi032"]:
+        with open(form, "w") as fh:
+            fh.write(buf.getvalue())
 with contextlib.redirect_stdout(io.StringIO()):
-    codes.append(genera.cli.main(["hk", "solve", "--k", "2"]))
-print(json.dumps({"codes": codes, "integral": integral, "before_hk": before_hk,
-                  "after_hk": [m for m in stdlib if m in sys.modules]}))
+    codes.append(genera.cli.main(["jf", "check", form, "--lambda", "-1"]))
+stdlib = ("fractions", "decimal", "numbers")
+before_violation = [m for m in stdlib if m in sys.modules]
+with open(form) as fh:
+    obj = json.load(fh)
+obj["terms"][0][2] = str(int(obj["terms"][0][2]) + 1)
+with open(form, "w") as fh:
+    json.dump(obj, fh)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(genera.cli.main(["jf", "check", form]))
+print(json.dumps({"codes": codes, "integral": integral, "before_violation": before_violation,
+                  "after_violation": [m for m in stdlib if m in sys.modules]}))
 """
 
 
 def test_series_commands_run_without_fractions(tmp_path):
-    # the series stack runs on integers; only hk solve (and jf check) build Fractions
+    # the series stack, the Hodge system, the criteria and a clean jf check run
+    # on integers; only a violation row builds Fractions
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", FRACTIONS_PROBE, str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
-        "codes": [0] * 11, "integral": [True, True, True, False], "before_hk": [],
-        "after_hk": ["fractions", "decimal", "numbers"]}
+        "codes": [0] * 12 + [1, 0, 1], "integral": [True, True, True, False],
+        "before_violation": [], "after_violation": ["fractions", "decimal", "numbers"]}
 
 
 def test_cells_dsu_easy_reads_each_data_file_once(capsys, monkeypatch):

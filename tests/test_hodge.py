@@ -76,26 +76,38 @@ def test_cp_row():
 
 
 def _ansatz_value(k, coeff_of_form):
-    # sum of coeff_of_form(form) * coefficient row over the ansatz pairs
+    # den and the sum of coeff_of_form(form) * coefficient row over the ansatz
+    # pairs, that row being den times the true one
+    den, pairs = hodge.hk_ansatz(k)
     out = [0] * (len(hodge.UNKNOWNS[k]) + 1)
-    for row, form in hodge.hk_ansatz(k):
+    for row, form in pairs:
         c = coeff_of_form(form)
         out = [a + c * b for a, b in zip(out, row)]
-    return tuple(out)
+    return den, tuple(out)
 
 
 def test_ansatz_pins_leading_coefficient():
     # the q^0 y^{2k} coefficient is the constant k + 1
     for k in (2, 3):
-        top = _ansatz_value(k, lambda form: form.series.coeff(0, (2 * k,)))
-        assert top == (0,) * len(hodge.UNKNOWNS[k]) + (k + 1,)
+        den, top = _ansatz_value(k, lambda form: form.series.coeff(0, (2 * k,)))
+        assert top == (0,) * len(hodge.UNKNOWNS[k]) + ((k + 1) * den,)
 
 
 def test_ansatz_ev_is_euler():
     # y = 1 evaluation of the ansatz collapses to the Euler unknown alone
     for k in (2, 3):
-        ev = _ansatz_value(k, lambda form: jacobi.ev_z0(form).coeff(0))
-        assert ev == tuple(int(n == "Euler") for n in hodge.UNKNOWNS[k]) + (0,)
+        den, ev = _ansatz_value(k, lambda form: jacobi.ev_z0(form).coeff(0))
+        assert ev == tuple(den * int(n == "Euler") for n in hodge.UNKNOWNS[k]) + (0,)
+
+
+def test_ansatz_is_integral_over_one_denominator():
+    # Euler/6 at k = 2 and Euler/4 at k = 3 set den; rows and forms are integral
+    for k, want in ((2, 6), (3, 4)):
+        den, pairs = hodge.hk_ansatz(k)
+        assert den == want
+        for row, form in pairs:
+            assert all(type(v) is int for v in row)
+            assert form.series.is_integral
 
 
 def test_ansatz_only_known_cases():

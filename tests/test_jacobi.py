@@ -293,6 +293,68 @@ def test_elliptic_law_fault_injection(name):
     assert rep.violations
 
 
+def _law_reference(f, lam):
+    # (pairs checked, violations) of the law, read key by key on the Fraction
+    # coefficients: the reference for check_elliptic_law
+    m2 = f.index2
+    sign = -1 if (m2 * lam) % 2 else 1
+
+    def image(n, R, l):
+        return n + (l * R + m2 * l * l) // 2, R + 2 * m2 * l
+
+    candidates = set()
+    for (n, (R,)) in f.series.coeffs:
+        candidates.add((n, R))
+        pn, pR = image(n, R, -lam)
+        if 0 <= pn <= f.qmax:
+            candidates.add((pn, pR))
+    checked, violations = 0, []
+    for n, R in sorted(candidates):
+        n2, R2 = image(n, R, lam)
+        if n2 > f.qmax:
+            continue
+        expected = sign * f.coeff(n, R)
+        got = f.coeff(n2, R2) if n2 >= 0 else Fraction(0)
+        checked += 1
+        if got != expected:
+            violations.append((n, R, n2, R2, expected, got))
+    return checked, tuple(violations)
+
+
+@st.composite
+def _rational_forms(draw):
+    # a generator times p/q with q > 1, plus a few terms of either sign that
+    # usually break the law, mirrored in R or not so that evenness varies
+    name = draw(st.sampled_from(jacobi.GENERATOR_NAMES))
+    qmax = draw(st.integers(1, 5))
+    f = jacobi.generator(name, qmax)
+    p = draw(st.sampled_from([-7, -5, -1, 1, 5, 7]))
+    q = draw(st.sampled_from([2, 3, 4, 6, 9, 12]))
+    extra = {}
+    for n, j, c in draw(st.lists(st.tuples(st.integers(0, qmax), st.integers(-4, 4),
+                                           st.fractions(-3, 3, max_denominator=6)),
+                                 max_size=3)):
+        R = 2 * j + f.index2 % 2
+        mirrored = draw(st.booleans())
+        for key in {(n, (R,)), (n, (-R,))} if mirrored else {(n, (R,))}:
+            extra[key] = extra.get(key, 0) + c
+    return jacobi.JacobiForm(f.weight2, f.index2,
+                             f.series * Fraction(p, q) + LaurentSeries(1, qmax, extra))
+
+
+@given(_rational_forms(), st.sampled_from([-2, -1, 1, 2]))
+@settings(max_examples=150, deadline=None)
+def test_law_and_evenness_on_numerators_match_fraction_reference(f, lam):
+    rep = jacobi.check_elliptic_law(f, lam)
+    assert (rep.pairs_checked, rep.violations) == _law_reference(f, lam)
+    assert rep.ok == (not rep.violations) and rep.vacuous == (rep.pairs_checked == 0)
+    for row in rep.violations:
+        assert all(type(v) is int for v in row[:4])
+        assert all(type(v) is Fraction for v in row[4:])
+    want_even = all(f.coeff(n, -R) == c for (n, (R,)), c in f.series.coeffs.items())
+    assert jacobi.is_even(f) == want_even
+
+
 def test_evenness():
     assert not jacobi.is_even(jacobi.generator("a", 4))
     assert jacobi.is_even(jacobi.generator("phi01", 4))

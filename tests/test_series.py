@@ -316,6 +316,35 @@ def test_coeff_string_roundtrip(c):
     assert coeff_from_str(coeff_to_str(c)) == c
 
 
+@given(st.from_regex(r"-?[0-9]{1,40}", fullmatch=True))
+def test_coeff_from_str_reads_decimal_integers_as_int(s):
+    got = coeff_from_str(s)
+    assert type(got) is int and got == Fraction(s)
+
+
+@given(st.one_of(st.sampled_from(["+3", " 3", "3 ", "3/1", "-6/4", "1/0", "\u00b2", "-\u00b2",
+                                  "1.5", "1e3", "-", "--3", "3-", "", "1_0", "\u0663"]),
+                 st.text(alphabet="-+/ .e_0123456789\u00b2\u0663", max_size=6)))
+def test_coeff_from_str_reads_other_strings_as_fraction_did(s):
+    # the value, or the ValueError and its message (which the CLI prints)
+    try:
+        want = Fraction(s)
+    except ZeroDivisionError:
+        with pytest.raises(ValueError, match="zero denominator"):
+            coeff_from_str(s)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            coeff_from_str(s)
+        assert str(got.value) == str(exc)
+    else:
+        assert coeff_from_str(s) == want
+
+
+def test_coeff_from_str_keeps_a_json_integer():
+    assert type(coeff_from_str(-7)) is int and coeff_from_str(-7) == -7
+    assert type(coeff_from_str("+3")) is Fraction and coeff_from_str("3/1") == 3
+
+
 @given(st.integers(0, 2).flatmap(lambda nvars: st.tuples(
     st.just(nvars),
     st.dictionaries(st.tuples(st.integers(0, QMAX), st.tuples(*[st.integers(-4, 4)] * nvars)),
