@@ -18,7 +18,7 @@ print()
 print("ev (value at y = 1); the odd generator collapses to 0")
 for name in jacobi.GENERATOR_NAMES:
     f = jacobi.generator(name, QMAX)
-    print(f"  ev({name}) = {jacobi.ev_z0(f).series.coeff(0, ())}")
+    print(f"  ev({name}) = {jacobi.ev_z0(f).coeff(0)}")
 
 # 4 phi04 = phi01 * phi032^2 - phi02^2, checked coefficientwise
 p1 = jacobi.generator("phi01", QMAX)

@@ -4,12 +4,11 @@ Run as:  python3 demos/02_k3_genus.py
 """
 
 from genera import genus, jacobi
-from genera._data import resolve_data
 
 QMAX = 4
 
-k3 = genus.ChernData.load(resolve_data("k3"))
-quintic = genus.ChernData.load(resolve_data("quintic"))
+k3 = genus.ChernData.load("k3")
+quintic = genus.ChernData.load("quintic")
 
 print(f"{k3.label}: dimc={k3.dimc}, Euler={genus.euler_number(k3)}")
 print(f"{quintic.label}: dimc={quintic.dimc}, Euler={genus.euler_number(quintic)}")
@@ -27,7 +26,7 @@ want = jacobi.generator("phi032", QMAX).series * -100
 print("genus(quintic) == -100*phi032:", (gq.series - want).is_zero)
 
 # value at y = 1 recovers the Euler number
-print("ev(genus(K3)) =", jacobi.ev_z0(gk3).series.coeff(0, ()))
+print("ev(genus(K3)) =", jacobi.ev_z0(gk3).coeff(0))
 print()
 
 # multiplicativity: the genus of a product is the product of genera

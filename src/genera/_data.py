@@ -7,13 +7,14 @@ import os
 _PACKAGE_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-def resolve_data(name: str) -> str:
+def resolve_data(name: str | os.PathLike) -> str:
     """Resolve a bundled data name or a literal path to a readable file path.
 
     Anything containing a path separator or a .json suffix is treated as a
     literal path; bare names look in GENERA_DATA_DIR first, then in the
     packaged data directory.
     """
+    name = os.fspath(name)
     if os.path.sep in name or name.endswith(".json"):
         if not os.path.exists(name):
             raise FileNotFoundError(f"no such data file: {name}")

@@ -10,7 +10,7 @@ failure, 2 on usage or file errors.
 
 Every command runs in a fresh process, and on most requests the import is
 dearer than the arithmetic, so each command pays only for itself: this
-module loads no layer of the library (only values and _data), every handler
+module loads no layer of the library (only values), every handler
 imports its own layer, and the parser gets subcommands only for the group
 that argv names.
 """
@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from genera._data import resolve_data
 from genera.values import value_str
 
 # Largest --qmax that jf gen and genus compute accept. In a fresh process on
@@ -126,7 +125,7 @@ def _cmd_jf_check(args, out) -> int:
 def _cmd_genus_compute(args, out) -> int:
     from genera import genus
 
-    m = genus.ChernData.load(resolve_data(args.chern))
+    m = genus.ChernData.load(args.chern)
     f = genus.elliptic_genus(m, nvars=args.nvars, qmax=args.qmax)
     _emit_json(f.to_obj(), out)
     return 0
@@ -135,7 +134,7 @@ def _cmd_genus_compute(args, out) -> int:
 def _cmd_genus_euler(args, out) -> int:
     from genera import genus
 
-    m = genus.ChernData.load(resolve_data(args.chern))
+    m = genus.ChernData.load(args.chern)
     out.write(f"{genus.euler_number(m)}\n")
     return 0
 

@@ -39,9 +39,10 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import combinations, product
 from operator import mul
 
+from genera._data import resolve_data
 from genera.values import Record, json_int
 
 # the series layer is imported by the functions that build series, so loading
@@ -128,7 +129,8 @@ class ChernData(Record):
 
     @classmethod
     def load(cls, path) -> "ChernData":
-        with open(path) as fh:
+        """Load a bundled data name or a path, as cells.table_load does."""
+        with open(resolve_data(path)) as fh:
             return cls.from_obj(json.load(fh))
 
 
@@ -148,18 +150,12 @@ def chern_product(M: ChernData, N: ChernData) -> ChernData:
     out: dict = {}
     for lam in partitions(k):
         total = 0
-        # distribute each part between the factors
-        def walk(idx, left, right):
-            nonlocal total
-            if idx == len(lam):
-                if sum(left) == M.dimc and sum(right) == N.dimc:
-                    mu = tuple(sorted((p for p in left if p), reverse=True))
-                    nu = tuple(sorted((p for p in right if p), reverse=True))
-                    total += M.number(mu) * N.number(nu)
-                return
-            for i in range(0, lam[idx] + 1):
-                walk(idx + 1, left + [i], right + [lam[idx] - i])
-        walk(0, [], [])
+        # each part p of lam splits as i + (p - i) over the two factors
+        for left in product(*(range(p + 1) for p in lam)):
+            if sum(left) == M.dimc:
+                mu = tuple(sorted((i for i in left if i), reverse=True))
+                nu = tuple(sorted((p - i for p, i in zip(lam, left) if p - i), reverse=True))
+                total += M.number(mu) * N.number(nu)
         out[lam] = total
     return ChernData(f"{M.label}x{N.label}", k, out)
 

@@ -78,10 +78,6 @@ class JacobiForm(Record):
             return JacobiForm(self.weight2 + other.weight2,
                               self.index2 + other.index2,
                               self.series * other.series)
-        if isinstance(other, modular.QExpansion):
-            lifted = _lift(other.series, self.nvars)
-            return JacobiForm(self.weight2 + other.weight2, self.index2,
-                              self.series * lifted)
         if _scalar(other) is not None:
             return JacobiForm(self.weight2, self.index2, self.series * other)
         return NotImplemented
@@ -205,26 +201,24 @@ def _phi01(qmax: int) -> JacobiForm:
 
     the second grouping taking three series products instead of four.
     """
-    a = generator_a(qmax)
-    a1, a2 = z_taylor(a.series, 1), z_taylor(a.series, 2)
-    s = a1 * (12 * a1) + a.series * ((modular.e2(qmax) * a).series - 24 * a2)
+    a = generator_a(qmax).series
+    a1, a2 = z_taylor(a, 1), z_taylor(a, 2)
+    s = a1 * (12 * a1) + a * (a * _lift(modular.e2(qmax), 1) - 24 * a2)
     return JacobiForm(0, 2, s.as_integral())
 
 
 @lru_cache(maxsize=None)
 def _phi02(qmax: int) -> JacobiForm:
     """Weight 0, doubled index 4, ev = 6: (phi01^2 - E4 a^4)/24, exactly."""
-    p1 = _phi01(qmax)
-    a4 = generator_a(qmax) ** 4
-    e4a4 = modular.e4(qmax) * a4  # weight2: 8 + (-8) = 0
-    s = (p1 ** 2).series - e4a4.series
-    return JacobiForm(0, 4, _divided(s, 24))
+    p1 = _phi01(qmax).series
+    e4a4 = generator_a(qmax).series ** 4 * _lift(modular.e4(qmax), 1)
+    return JacobiForm(0, 4, _divided(p1 ** 2 - e4a4, 24))
 
 
 @lru_cache(maxsize=None)
 def _phi04(qmax: int) -> JacobiForm:
     """Weight 0, doubled index 8, ev = 3: (phi01 phi032^2 - phi02^2)/4, exactly."""
-    s = (_phi01(qmax) * _phi032(qmax) ** 2).series - (_phi02(qmax) ** 2).series
+    s = _phi01(qmax).series * _phi032(qmax).series ** 2 - _phi02(qmax).series ** 2
     return JacobiForm(0, 8, _divided(s, 4))
 
 
@@ -241,9 +235,9 @@ def generator(name: str, qmax: int) -> JacobiForm:
 # structural checks
 
 
-def ev_z0(f: JacobiForm) -> modular.QExpansion:
-    """Restriction to z = 0 (every y_i = 1), as a weighted q-expansion."""
-    return modular.QExpansion(f.weight2, f.series.collapse_y())
+def ev_z0(f: JacobiForm) -> LaurentSeries:
+    """Restriction to z = 0 (every y_i = 1): a pure q-series of weight f.weight2 / 2."""
+    return f.series.collapse_y()
 
 
 class EllipticLawReport(Record):

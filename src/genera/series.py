@@ -243,13 +243,15 @@ class LaurentSeries:
     def is_integral(self) -> bool:
         return self.den == 1
 
-    def coeff(self, n: int, R) -> Fraction:
-        """Coefficient of q^n * y^(R/2). R may be an int when nvars == 1."""
-        if isinstance(R, int):
-            if self.nvars != 1:
-                raise ValueError("integer R only allowed for nvars == 1")
-            R = (R,)
-        return _fraction(self.nums.get((n, tuple(R)), 0), self.den)
+    def coeff(self, n: int, R=()) -> Fraction:
+        """Coefficient of q^n * y^(R/2), with one entry of R per y-variable.
+
+        An int R means (R,), and the default () reads a pure q-series.
+        """
+        R = (R,) if isinstance(R, int) else tuple(R)
+        if len(R) != self.nvars:
+            raise ValueError(f"R = {R} has length {len(R)}, not nvars = {self.nvars}")
+        return _fraction(self.nums.get((n, R), 0), self.den)
 
     def q_layer(self, n: int) -> dict[tuple[int, ...], Fraction]:
         """All y-coefficients of q^n, as a dict R-tuple -> Fraction."""

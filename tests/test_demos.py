@@ -61,6 +61,20 @@ def test_hodge_demo_stdout_is_pinned():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, HODGE_DEMO_STDOUT, "")
 
 
+MODULAR_DEMO_STDOUT = (
+    "E4    (weight2= 8): ['1', '240', '2160', '6720', '17520', '30240', '60480']\n"
+    "E6    (weight2=12): ['1', '-504', '-16632', '-122976', '-532728', '-1575504', '-4058208']\n"
+    "delta (weight2=24): ['0', '1', '-24', '252', '-1472', '4830', '-6048']\n"
+    "\n"
+    "1728*delta == E4^3 - E6^2: True\n"
+)
+
+
+def test_modular_demo_stdout_is_pinned():
+    proc = _run_demo(ROOT / "demos" / "06_modular.py")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, MODULAR_DEMO_STDOUT, "")
+
+
 @pytest.mark.parametrize("module", [series, modular, jacobi, genus, hodge, cells, _intlin],
                          ids=lambda m: m.__name__)
 def test_doctests(module):

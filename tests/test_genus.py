@@ -1,5 +1,6 @@
 """Characteristic-class genus pipeline against its published anchors."""
 
+import pathlib
 from fractions import Fraction
 from math import factorial
 
@@ -14,12 +15,19 @@ from genera._data import resolve_data
 
 @pytest.fixture(scope="module")
 def k3():
-    return genus.ChernData.load(resolve_data("k3"))
+    return genus.ChernData.load("k3")
 
 
 @pytest.fixture(scope="module")
 def quintic():
-    return genus.ChernData.load(resolve_data("quintic"))
+    return genus.ChernData.load("quintic")
+
+
+def test_load_takes_a_bundled_name_or_a_path(k3):
+    path = resolve_data("k3")
+    assert genus.ChernData.load(path) == genus.ChernData.load(pathlib.Path(path)) == k3
+    with pytest.raises(FileNotFoundError, match="'k4'"):
+        genus.ChernData.load("k4")
 
 
 def test_k3_genus_anchor(k3):

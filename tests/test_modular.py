@@ -1,4 +1,4 @@
-"""Eisenstein series, the discriminant, and the weight-graded ring relation."""
+"""Eisenstein series, the discriminant, and the ring relation, as pure q-series."""
 
 import pytest
 from hypothesis import given
@@ -11,13 +11,11 @@ from genera.series import LaurentSeries
 def test_e4_expansion():
     e = modular.e4(4)
     assert [e.coeff(n) for n in range(5)] == [1, 240, 2160, 6720, 17520]
-    assert e.weight2 == 8
 
 
 def test_e6_expansion():
     e = modular.e6(4)
     assert [e.coeff(n) for n in range(5)] == [1, -504, -16632, -122976, -532728]
-    assert e.weight2 == 12
 
 
 def test_ramanujan_derivative_of_e2_e4():
@@ -25,7 +23,6 @@ def test_ramanujan_derivative_of_e2_e4():
     # its definition; q d/dq E2 = (E2^2 - E4)/12 as well
     q = 12
     e2, e4, e6 = modular.e2(q), modular.e4(q), modular.e6(q)
-    assert e2.weight2 == 4
     assert all(3 * n * e4.coeff(n) == (e2 * e4 - e6).coeff(n) for n in range(q + 1))
     assert all(12 * n * e2.coeff(n) == (e2 * e2 - e4).coeff(n) for n in range(q + 1))
 
@@ -34,20 +31,10 @@ def test_delta_expansion():
     d = modular.delta(6)
     # tau(n): 1, -24, 252, -1472, 4830, -6048
     assert [d.coeff(n) for n in range(7)] == [0, 1, -24, 252, -1472, 4830, -6048]
-    assert d.weight2 == 24
 
 
 def test_ring_relation():
     assert modular.verify_ring_relation(10)
-
-
-def test_weight_bookkeeping():
-    e4 = modular.e4(3)
-    e6 = modular.e6(3)
-    assert (e4 * e6).weight2 == 20
-    assert (e4**3).weight2 == 24
-    with pytest.raises(ValueError):
-        e4 + e6  # mismatched weights do not add
 
 
 @given(st.integers(min_value=1, max_value=30))
@@ -64,18 +51,11 @@ def test_scalar_multiplication():
     d = modular.delta(4)
     t = 1728 * d
     assert t.coeff(1) == 1728
-    assert t.weight2 == 24
 
 
-def test_qexpansion_is_a_value_record():
-    e = modular.e4(2)
-    same = modular.QExpansion(weight2=8, series=modular.e4(2).series)
-    assert e == same and hash(e) == hash(same)
-    assert e != modular.QExpansion(12, e.series)
-    assert e != modular.e4(3)
-    assert e != (8, e.series)
-    assert repr(e) == "QExpansion(weight2=8, series=<series nvars=0 qmax=2: 1 + 240*q + 2160*q^2>)"
-    with pytest.raises(AttributeError):
-        e.weight2 = 12
-    with pytest.raises(ValueError, match="no y-variables"):
-        modular.QExpansion(8, series=LaurentSeries.one(1, 2))
+
+@pytest.mark.parametrize("form", [modular.e2, modular.e4, modular.e6, modular.eta3_sum,
+                                  modular.delta], ids=lambda f: f.__name__)
+def test_forms_are_pure_q_series(form):
+    f = form(3)
+    assert type(f) is LaurentSeries and (f.nvars, f.qmax) == (0, 3)

@@ -234,6 +234,19 @@ def test_monomial_and_layers():
     assert (2 * f).is_integral
 
 
+def test_coeff_rejects_an_R_of_the_wrong_length():
+    from genera import jacobi, modular
+
+    with pytest.raises(ValueError, match="length 1, not nvars = 0"):
+        modular.e4(2).coeff(1, (0,))
+    with pytest.raises(ValueError, match="length 2, not nvars = 1"):
+        jacobi.generator("a", 2).series.coeff(0, (1, 2))
+    with pytest.raises(ValueError, match="length 1, not nvars = 2"):
+        LaurentSeries.one(2, 1).coeff(0, 0)
+    assert modular.e4(2).coeff(1) == modular.e4(2).coeff(1, ()) == 240
+    assert jacobi.generator("a", 2).series.coeff(0, 1) == 1
+
+
 def test_zero_pruning():
     f = LaurentSeries(1, 2, {(0, (0,)): 1, (1, (2,)): 0})
     assert (0, (2,)) not in f.coeffs

@@ -1,0 +1,65 @@
+"""The stdout of the series commands, pinned by sha256.
+
+`jf gen` prints every generator and `genus compute` prints the genus of the
+bundled Chern data, and of a dimc-3 file whose genus is not integral, as long
+JSON series. tests/data/series_stdout_sha256.json holds the exit code and the
+sha256 of stdout for each request. To rewrite it after a deliberate change to
+the output, run
+
+    PYTHONPATH=src python tests/test_series_stdout.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import pathlib
+
+import pytest
+
+from genera import cli
+from genera.jacobi import GENERATOR_NAMES
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PINS = ROOT / "tests" / "data" / "series_stdout_sha256.json"
+
+# paths are relative to the repository root, where every request runs
+CASES = (
+    [["jf", "gen", name, "--qmax", str(q)] for name in GENERATOR_NAMES for q in (0, 3, 8, 20)]
+    + [["genus", "compute", "--chern", chern, "--nvars", str(n), "--qmax", "4"]
+       for chern in ("k3", "quintic") for n in (1, 2, 3)]
+    + [["genus", "compute", "--chern", "tests/data/chern_dimc3_nonintegral.json",
+        "--nvars", "1", "--qmax", "4"]]
+)
+
+
+def capture(argv) -> dict:
+    """Exit code and sha256 of stdout of cli.main(argv), run in the repository root."""
+    saved = os.getcwd()
+    out = io.StringIO()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(list(argv))
+    finally:
+        os.chdir(saved)
+    return {"rc": rc, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
+def _pins():
+    return json.loads(PINS.read_text(encoding="utf-8"))
+
+
+def test_pin_file_covers_every_case():
+    assert sorted(_pins()) == sorted(" ".join(argv) for argv in CASES)
+
+
+@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+def test_stdout_is_pinned(argv):
+    assert capture(argv) == _pins()[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    PINS.write_text(json.dumps({" ".join(argv): capture(argv) for argv in CASES}, indent=1)
+                    + "\n", encoding="utf-8")
