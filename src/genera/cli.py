@@ -98,8 +98,8 @@ def _load_json_file(path: str):
 def _cmd_jf_gen(args, out) -> int:
     from genera import jacobi
 
-    f = jacobi.generator(args.name, args.qmax)
-    _emit_json(f.to_obj(), out)
+    s = jacobi.generator(args.name, args.qmax)
+    _emit_json(jacobi.JacobiForm(*jacobi.GRADINGS[args.name], s).to_obj(), out)
     return 0
 
 
@@ -107,7 +107,7 @@ def _cmd_jf_check(args, out) -> int:
     from genera import jacobi
 
     f = jacobi.JacobiForm.from_obj(_load_json_file(args.file))
-    rep = jacobi.check_elliptic_law(f, args.lam)
+    rep = jacobi.check_elliptic_law(f.series, f.index2, args.lam)
     _emit_json(
         {
             "lambda": value_str(rep.lam),
@@ -124,10 +124,11 @@ def _cmd_jf_check(args, out) -> int:
 
 def _cmd_genus_compute(args, out) -> int:
     from genera import genus
+    from genera.jacobi import JacobiForm
 
     m = genus.ChernData.load(args.chern)
-    f = genus.elliptic_genus(m, nvars=args.nvars, qmax=args.qmax)
-    _emit_json(f.to_obj(), out)
+    s = genus.elliptic_genus(m, nvars=args.nvars, qmax=args.qmax)
+    _emit_json(JacobiForm(0, m.dimc, s).to_obj(), out)
     return 0
 
 
@@ -237,11 +238,11 @@ def _add_format(parser) -> None:
 
 
 def _jf_commands(group) -> None:
-    from genera.jacobi import GENERATOR_NAMES
+    from genera.jacobi import GRADINGS
 
     jfsub = group.add_subparsers(dest="subcommand", required=True)
     gen = jfsub.add_parser("gen", help="print a ring generator as JSON")
-    gen.add_argument("name", choices=GENERATOR_NAMES)
+    gen.add_argument("name", choices=GRADINGS)
     gen.add_argument("--qmax", type=_qmax, default=10,
                      help=f"highest q-power kept, 0..{QMAX_CAP} (default 10)")
     gen.set_defaults(func=_cmd_jf_gen)

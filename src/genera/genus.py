@@ -31,8 +31,8 @@ in increasing lexicographic order of lam is thus triangular over the
 integers and needs no division.
 
 With n elliptic variables the same factor appears once per variable and the
-result has index2 = dimc in every variable (for n = 1 this is the usual
-statement that the genus of a k-fold has index k/2).
+result, a plain series, has weight 0 and index2 = dimc in every variable (for
+n = 1 this is the usual statement that the genus of a k-fold has index k/2).
 """
 
 from __future__ import annotations
@@ -192,7 +192,7 @@ def factor_polynomial(qmax: int, xdeg: int) -> list[LaurentSeries]:
     """
     from genera.jacobi import _lift, generator_a, z_taylor
 
-    a = generator_a(qmax).series
+    a = generator_a(qmax)
     taylor = [z_taylor(a, i) for i in range(xdeg + 2)]
     b = [t.collapse_y() for t in taylor[1:]]
     # E_0 = 1 is never multiplied: its terms are b_d and a_d themselves (b_d = 0 for odd d)
@@ -263,17 +263,15 @@ def _monomial_integrals(M: ChernData) -> dict:
     return out
 
 
-def elliptic_genus(M: ChernData, nvars: int = 1, qmax: int = 10) -> JacobiForm:
-    """The elliptic genus of M, tagged as a weak Jacobi form.
+def elliptic_genus(M: ChernData, nvars: int = 1, qmax: int = 10) -> LaurentSeries:
+    """The elliptic genus of M, a series in nvars elliptic variables.
 
-    Weight 0; index2 = dimc in each of the nvars elliptic variables.
-
-    The result obeys the elliptic transformation law only when every Chern
-    number with a c1 factor is zero (rationally, SU data). Otherwise it is
-    still returned with the same tags but is no Jacobi form: for dimc 1 and
+    Its grading is weight 0 and index2 = dimc in each variable, and its
+    support has the parity of dimc. It obeys the elliptic transformation law
+    of that index only when every Chern number with a c1 factor is zero
+    (rationally, SU data). Otherwise it is no Jacobi form: for dimc 1 and
     c1 = 1 it is (y^{1/2} + y^{-1/2})/2, which breaks the law.
     """
-    from genera.jacobi import JacobiForm
     from genera.series import LaurentSeries
 
     integrals = _monomial_integrals(M)
@@ -281,4 +279,4 @@ def elliptic_genus(M: ChernData, nvars: int = 1, qmax: int = 10) -> JacobiForm:
     s = LaurentSeries.zero(nvars, qmax)
     for lam, n in integrals.items():
         s = s + integrand[lam] * n
-    return JacobiForm(0, M.dimc, s)
+    return s

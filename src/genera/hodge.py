@@ -19,7 +19,7 @@ instead, so every relation row is built from integers alone.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
 from genera import _intlin, jacobi
 from genera.values import Record
@@ -40,20 +40,18 @@ UNKNOWNS = {
 
 
 def primitive(names: tuple, row) -> tuple:
-    """The integer multiple of a rational relation row whose entries have gcd 1
-    and whose first nonzero coefficient in name order (the constant last) is
+    """The integer relation row divided by the gcd of its entries, signed so
+    that its first nonzero coefficient in name order (the constant last) is
     positive; the zero row stays zero.
 
     >>> primitive(("x", "y"), (-6, 12, 2))
     (3, -6, -1)
     """
-    den = lcm(*(v.denominator for v in row))
-    ints = [int(v * den) for v in row]
-    g = gcd(*ints)
+    g = gcd(*row)
     order = sorted(range(len(names)), key=names.__getitem__) + [len(names)]
-    if g and next(ints[i] for i in order if ints[i]) < 0:
+    if g and next(row[i] for i in order if row[i]) < 0:
         g = -g
-    return tuple(v // g for v in ints) if g else tuple(ints)
+    return tuple(v // g for v in row) if g else tuple(row)
 
 
 def relation_str(names: tuple, row) -> str:
@@ -209,7 +207,7 @@ def hk_match(k: int) -> HodgeSystem:
         key = (0, (2 * (k - p),))
         row = tuple(den * v for v in cp_row(k, p))
         for coeffs, form in ansatz:
-            c = form.series.nums.get(key, 0)
+            c = form.nums.get(key, 0)
             row = tuple(a - c * b for a, b in zip(row, coeffs))
         return row
 

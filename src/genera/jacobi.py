@@ -1,9 +1,11 @@
 """Weak Jacobi form generators and structural checks.
 
-Forms live in the doubled-exponent Laurent ring of genera.series: a stored
-key R means y^{R/2}, and index2 is twice the true index, so half-integer
-index forms sit in the same integer bookkeeping. Every JacobiForm satisfies
-the support parity R == index2 (mod 2) in each variable.
+Forms are plain LaurentSeries in the doubled-exponent Laurent ring of
+genera.series: a stored key R means y^{R/2}, and index2 is twice the true
+index, so half-integer index forms sit in the same integer bookkeeping. A
+form of doubled index index2 has support parity R == index2 (mod 2) in each
+variable. The gradings live in GRADINGS, not on the series; JacobiForm tags
+a series with them only where a form is read or written as JSON.
 
 Generators of the weight-0 part of the ring, with their doubled indices and
 values at z = 0:
@@ -21,7 +23,7 @@ y-dependent series is inverted. Everything else is polynomial algebra over
 them. phi01 = 12 * wp * a^2 comes from a, its z-Taylor coefficients
 (`z_taylor`) and the quasimodular E2; its q^0 layer is y + 10 + y^{-1}:
 
->>> generator("phi01", 0).series.q_layer(0) == {(2,): 1, (0,): 10, (-2,): 1}
+>>> generator("phi01", 0).q_layer(0) == {(2,): 1, (0,): 10, (-2,): 1}
 True
 
 phi02 and phi04 are produced by exact divisions (by 24 and 4) that must
@@ -32,74 +34,41 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from genera import modular
-from genera.series import LaurentSeries, _build, _fraction, _scalar
+from genera.series import LaurentSeries, _build, _fraction
 from genera.values import Record, json_int, require_keys
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-GENERATOR_NAMES = ("a", "phi01", "phi032", "phi02", "phi04")
+# generator name -> (weight2, index2), from the table above
+GRADINGS = {"a": (-2, 1), "phi01": (0, 2), "phi032": (0, 3), "phi02": (0, 4), "phi04": (0, 8)}
 
 # z = 0 values of the weight-0 generators (weight-0 Jacobi forms restrict to
 # constants on z = 0).
 EV_CONSTANTS = {"phi01": 12, "phi032": 2, "phi02": 6, "phi04": 3}
 
 
+def _check_parity(s: LaurentSeries, index2: int) -> None:
+    """Raise ValueError unless every doubled y-exponent R of s has R == index2 (mod 2)."""
+    for (n, R) in s.nums:
+        for r in R:
+            if (r - index2) % 2 != 0:
+                raise ValueError(f"support parity broken at {(n, R)}: R != index2 (mod 2)")
+
+
 class JacobiForm(Record):
-    """A (truncated) weak Jacobi form: graded series plus (weight2, index2)."""
+    """The JSON record of a weak Jacobi form: a series tagged with (weight2, index2).
+
+    `jf gen` and `genus compute` write one and `jf check` reads one. The
+    constructor checks that there is an elliptic variable and the support
+    parity; the tags are not carried through arithmetic.
+    """
     __slots__ = ("weight2", "index2", "series")
 
     def __init__(self, weight2: int, index2: int, series: LaurentSeries):
         if series.nvars < 1:
             raise ValueError("a Jacobi form needs at least one elliptic variable")
-        for (n, R) in series.coeffs.keys():
-            for r in R:
-                if (r - index2) % 2 != 0:
-                    raise ValueError(
-                        f"support parity broken at {(n, R)}: R != index2 (mod 2)")
+        _check_parity(series, index2)
         super().__init__(weight2, index2, series)
-
-    @property
-    def nvars(self) -> int:
-        return self.series.nvars
-
-    @property
-    def qmax(self) -> int:
-        return self.series.qmax
-
-    def coeff(self, n: int, R) -> Fraction:
-        return self.series.coeff(n, R)
-
-    def __mul__(self, other):
-        if isinstance(other, JacobiForm):
-            return JacobiForm(self.weight2 + other.weight2,
-                              self.index2 + other.index2,
-                              self.series * other.series)
-        if _scalar(other) is not None:
-            return JacobiForm(self.weight2, self.index2, self.series * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: "JacobiForm"):
-        if not isinstance(other, JacobiForm):
-            return NotImplemented
-        if (self.weight2, self.index2) != (other.weight2, other.index2):
-            raise ValueError("can only add forms of equal weight and index")
-        return JacobiForm(self.weight2, self.index2, self.series + other.series)
-
-    def __sub__(self, other: "JacobiForm"):
-        if not isinstance(other, JacobiForm):
-            return NotImplemented
-        return self + (-1) * other
-
-    def __pow__(self, k: int) -> "JacobiForm":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        return JacobiForm(self.weight2 * k, self.index2 * k, self.series ** k)
 
     def to_obj(self) -> dict:
         return {"weight2": self.weight2, "index2": self.index2,
@@ -140,7 +109,7 @@ def _theta_quotient(num: dict, den: LaurentSeries) -> LaurentSeries:
 
 
 @lru_cache(maxsize=None)
-def generator_a(qmax: int) -> JacobiForm:
+def generator_a(qmax: int) -> LaurentSeries:
     """The odd generator of weight -2 and doubled index 1.
 
     a = (y^{1/2} - y^{-1/2}) prod_{m>=1} (1-q^m y)(1-q^m y^{-1}) / (1-q^m)^2
@@ -154,7 +123,7 @@ def generator_a(qmax: int) -> JacobiForm:
     """
     N = math.isqrt(2 * qmax) + 1
     num = {(n * (n + 1) // 2, (2 * n + 1,)): -1 if n % 2 else 1 for n in range(-N, N + 1)}
-    return JacobiForm(-2, 1, _theta_quotient(num, modular.eta3_sum(qmax)).as_integral())
+    return _theta_quotient(num, modular.eta3_sum(qmax)).as_integral()
 
 
 # chi_12, the character of n mod 12 in the quintuple-product sum
@@ -162,7 +131,7 @@ _CHI12 = {1: 1, 11: 1, 5: -1, 7: -1}
 
 
 @lru_cache(maxsize=None)
-def _phi032(qmax: int) -> JacobiForm:
+def _phi032(qmax: int) -> LaurentSeries:
     """a(2z)/a(z) = theta_1(2z)/theta_1(z): weight 0, doubled index 3, ev = 2.
 
     The quintuple product makes it a single sum over eta / q^{1/24}, which is
@@ -176,7 +145,7 @@ def _phi032(qmax: int) -> JacobiForm:
            for n in range(-N, N + 1) if n % 12 in _CHI12}
     K = math.isqrt(qmax) + 1
     den = {(k * (3 * k - 1) // 2, ()): -1 if k % 2 else 1 for k in range(-K, K + 1)}
-    return JacobiForm(0, 3, _theta_quotient(num, LaurentSeries(0, qmax, den)).as_integral())
+    return _theta_quotient(num, LaurentSeries(0, qmax, den)).as_integral()
 
 
 def z_taylor(series: LaurentSeries, i: int) -> LaurentSeries:
@@ -190,7 +159,7 @@ def z_taylor(series: LaurentSeries, i: int) -> LaurentSeries:
 
 
 @lru_cache(maxsize=None)
-def _phi01(qmax: int) -> JacobiForm:
+def _phi01(qmax: int) -> LaurentSeries:
     """Weight 0, doubled index 2, ev = 12: phi01 = 12 * wp * a^2.
 
     wp, the Weierstrass function in units of (2 pi i)^2, is
@@ -201,43 +170,35 @@ def _phi01(qmax: int) -> JacobiForm:
 
     the second grouping taking three series products instead of four.
     """
-    a = generator_a(qmax).series
+    a = generator_a(qmax)
     a1, a2 = z_taylor(a, 1), z_taylor(a, 2)
-    s = a1 * (12 * a1) + a * (a * _lift(modular.e2(qmax), 1) - 24 * a2)
-    return JacobiForm(0, 2, s.as_integral())
+    return (a1 * (12 * a1) + a * (a * _lift(modular.e2(qmax), 1) - 24 * a2)).as_integral()
 
 
 @lru_cache(maxsize=None)
-def _phi02(qmax: int) -> JacobiForm:
+def _phi02(qmax: int) -> LaurentSeries:
     """Weight 0, doubled index 4, ev = 6: (phi01^2 - E4 a^4)/24, exactly."""
-    p1 = _phi01(qmax).series
-    e4a4 = generator_a(qmax).series ** 4 * _lift(modular.e4(qmax), 1)
-    return JacobiForm(0, 4, _divided(p1 ** 2 - e4a4, 24))
+    e4a4 = generator_a(qmax) ** 4 * _lift(modular.e4(qmax), 1)
+    return _divided(_phi01(qmax) ** 2 - e4a4, 24)
 
 
 @lru_cache(maxsize=None)
-def _phi04(qmax: int) -> JacobiForm:
+def _phi04(qmax: int) -> LaurentSeries:
     """Weight 0, doubled index 8, ev = 3: (phi01 phi032^2 - phi02^2)/4, exactly."""
-    s = _phi01(qmax).series * _phi032(qmax).series ** 2 - _phi02(qmax).series ** 2
-    return JacobiForm(0, 8, _divided(s, 4))
+    return _divided(_phi01(qmax) * _phi032(qmax) ** 2 - _phi02(qmax) ** 2, 4)
 
 
-def generator(name: str, qmax: int) -> JacobiForm:
-    """Dispatch on name in {a, phi01, phi032, phi02, phi04}."""
+def generator(name: str, qmax: int) -> LaurentSeries:
+    """The generator named by a key of GRADINGS, which holds its grading."""
     builders = {"a": generator_a, "phi01": _phi01, "phi032": _phi032,
                 "phi02": _phi02, "phi04": _phi04}
     if name not in builders:
-        raise ValueError(f"unknown generator {name!r}; choose from {GENERATOR_NAMES}")
+        raise ValueError(f"unknown generator {name!r}; choose from {tuple(GRADINGS)}")
     return builders[name](qmax)
 
 
 # ----------------------------------------------------------------------
 # structural checks
-
-
-def ev_z0(f: JacobiForm) -> LaurentSeries:
-    """Restriction to z = 0 (every y_i = 1): a pure q-series of weight f.weight2 / 2."""
-    return f.series.collapse_y()
 
 
 class EllipticLawReport(Record):
@@ -248,10 +209,12 @@ class EllipticLawReport(Record):
         return not self.violations
 
 
-def check_elliptic_law(f: JacobiForm, lam: int) -> EllipticLawReport:
+def check_elliptic_law(s: LaurentSeries, index2: int, lam: int) -> EllipticLawReport:
     """Coefficient form of the index-m transformation law, for one lambda.
 
-    With r = R/2 and m = index2/2, coefficients must satisfy
+    s is a one-variable series whose support has the parity of index2 (a
+    ValueError otherwise). With r = R/2 and m = index2/2, coefficients must
+    satisfy
 
         c(n + lam*r + m*lam^2, r + 2*m*lam) = sign * c(n, r),
 
@@ -261,27 +224,26 @@ def check_elliptic_law(f: JacobiForm, lam: int) -> EllipticLawReport:
     keys beyond qmax are not checkable and are skipped. lam = 0 maps every
     coefficient onto itself and checks nothing, so it is a ValueError.
     """
-    if f.nvars != 1:
+    if s.nvars != 1:
         raise ValueError("elliptic law check is single-variable")
     if lam == 0:
         raise ValueError("lambda must be nonzero: lambda = 0 checks nothing")
-    m2 = f.index2
-    sign = -1 if (m2 * lam) % 2 else 1
+    _check_parity(s, index2)
+    sign = -1 if (index2 * lam) % 2 else 1
 
     def image(n, R, l):
-        num = l * R + m2 * l * l
-        assert num % 2 == 0  # parity invariant makes the shift integral
-        return n + num // 2, R + 2 * m2 * l
+        # the support parity makes the shift integral
+        return n + (l * R + index2 * l * l) // 2, R + 2 * index2 * l
 
     # stored keys plus in-window preimages of stored keys: the latter catch a
     # nonzero target paired with an absent (zero) source. A source beyond
     # qmax is unknown, not zero, so it is never a candidate.
-    nums = f.series.nums
+    nums = s.nums
     candidates = set()
     for (n, (R,)) in nums:
         candidates.add((n, R))
         pn, pR = image(n, R, -lam)
-        if 0 <= pn <= f.qmax:
+        if 0 <= pn <= s.qmax:
             candidates.add((pn, pR))
 
     # both sides are over the one den, so comparing numerators is exact; a
@@ -290,22 +252,21 @@ def check_elliptic_law(f: JacobiForm, lam: int) -> EllipticLawReport:
     violations = []
     for (n, R) in sorted(candidates):
         n2, R2 = image(n, R, lam)
-        if n2 > f.qmax:
+        if n2 > s.qmax:
             continue
         expected = sign * nums.get((n, (R,)), 0)
         got = nums.get((n2, (R2,)), 0)
         checked += 1
         if got != expected:
-            den = f.series.den
-            violations.append((n, R, n2, R2, _fraction(expected, den), _fraction(got, den)))
+            violations.append((n, R, n2, R2, _fraction(expected, s.den), _fraction(got, s.den)))
     return EllipticLawReport(lam, checked, tuple(violations), checked == 0)
 
 
-def is_even(f: JacobiForm) -> bool:
+def is_even(s: LaurentSeries) -> bool:
     """True iff c(n, R) = c(n, -R) for every stored term (single variable)."""
-    if f.nvars != 1:
+    if s.nvars != 1:
         raise ValueError("evenness check is single-variable")
-    nums = f.series.nums
+    nums = s.nums
     return all(nums.get((n, (-R,)), 0) == c for (n, (R,)), c in nums.items())
 
 

@@ -236,25 +236,30 @@ class LaurentSeries:
         return _Coeffs(self.nums, self.den)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    @property
     def is_integral(self) -> bool:
         return self.den == 1
+
+    def _known(self, n: int) -> None:
+        """Raise ValueError when q^n lies above qmax, where nothing is known."""
+        if n > self.qmax:
+            raise ValueError(f"q^{n} is above qmax = {self.qmax}: its coefficient is unknown")
 
     def coeff(self, n: int, R=()) -> Fraction:
         """Coefficient of q^n * y^(R/2), with one entry of R per y-variable.
 
-        An int R means (R,), and the default () reads a pure q-series.
+        An int R means (R,), and the default () reads a pure q-series. A
+        negative n reads 0; an n above qmax is a ValueError.
         """
         R = (R,) if isinstance(R, int) else tuple(R)
         if len(R) != self.nvars:
             raise ValueError(f"R = {R} has length {len(R)}, not nvars = {self.nvars}")
+        self._known(n)
         return _fraction(self.nums.get((n, R), 0), self.den)
 
     def q_layer(self, n: int) -> dict[tuple[int, ...], Fraction]:
-        """All y-coefficients of q^n, as a dict R-tuple -> Fraction."""
+        """All y-coefficients of q^n, as a dict R-tuple -> Fraction; an n above
+        qmax is a ValueError."""
+        self._known(n)
         return {R: _fraction(v, self.den) for (m, R), v in self.nums.items() if m == n}
 
     def terms(self) -> Iterator[tuple[int, tuple[int, ...], Fraction]]:

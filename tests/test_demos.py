@@ -29,6 +29,58 @@ def test_demo_runs(demo):
     assert proc.stdout
 
 
+GENERATORS_DEMO_STDOUT = (
+    "generator  (weight2, index2)  q^0 layer\n"
+    "a          ( -2, 1)         [(-1, '-1'), (1, '1')]\n"
+    "phi01      (  0, 2)         [(-2, '1'), (0, '10'), (2, '1')]\n"
+    "phi032     (  0, 3)         [(-1, '1'), (1, '1')]\n"
+    "phi02      (  0, 4)         [(-2, '1'), (0, '4'), (2, '1')]\n"
+    "phi04      (  0, 8)         [(-2, '1'), (0, '1'), (2, '1')]\n"
+    "\n"
+    "ev (value at y = 1); the odd generator collapses to 0\n"
+    "  ev(a) = 0\n"
+    "  ev(phi01) = 12\n"
+    "  ev(phi032) = 2\n"
+    "  ev(phi02) = 6\n"
+    "  ev(phi04) = 3\n"
+    "\n"
+    "4*phi04 == phi01*phi032^2 - phi02^2 through q^4: True\n"
+    "\n"
+    "law for a       at lambda=1: ok=True (43 pairs)\n"
+    "law for phi01   at lambda=1: ok=True (55 pairs)\n"
+    "law for phi032  at lambda=1: ok=True (42 pairs)\n"
+    "law for phi02   at lambda=1: ok=True (66 pairs)\n"
+    "law for phi04   at lambda=1: ok=True (54 pairs)\n"
+)
+
+
+def test_generators_demo_stdout_is_pinned():
+    proc = _run_demo(ROOT / "demos" / "01_generators.py")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, GENERATORS_DEMO_STDOUT, "")
+
+
+GENUS_DEMO_STDOUT = (
+    "k3: dimc=2, Euler=24\n"
+    "quintic: dimc=3, Euler=-200\n"
+    "\n"
+    "genus(K3) carries (weight2, index2) = (0, 2)\n"
+    "genus(K3) == 2*phi01: True\n"
+    "genus(quintic) == -100*phi032: True\n"
+    "ev(genus(K3)) = 24\n"
+    "\n"
+    "K3 x K3 Chern numbers: {(4,): 576, (3, 1): 0, (2, 2): 1152, (2, 1, 1): 0, (1, 1, 1, 1): 0}\n"
+    "genus(K3 x K3) == genus(K3)^2 through q^3: True\n"
+    "\n"
+    "diag(genus_2(K3)) == 4*a^2*phi01: True\n"
+    "genus(K3) even in y: True\n"
+)
+
+
+def test_genus_demo_stdout_is_pinned():
+    proc = _run_demo(ROOT / "demos" / "02_k3_genus.py")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, GENUS_DEMO_STDOUT, "")
+
+
 HODGE_DEMO_STDOUT = (
     "k = 2: unknowns h11, h12, h22, Euler\n"
     "  0 = Euler - 12*h11 + 6*h12 - 72\n"

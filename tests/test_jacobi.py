@@ -53,18 +53,25 @@ GRADINGS = {
 }
 
 
-@pytest.mark.parametrize("name", jacobi.GENERATOR_NAMES)
+@pytest.mark.parametrize("name", jacobi.GRADINGS)
 def test_frozen_layers(name):
     f = jacobi.generator(name, 4)
     for n, layer in enumerate(FROZEN_LAYERS[name]):
-        assert f.series.q_layer(n) == {(r,): c for r, c in layer.items()}, (name, n)
+        assert f.q_layer(n) == {(r,): c for r, c in layer.items()}, (name, n)
 
 
-@pytest.mark.parametrize("name", jacobi.GENERATOR_NAMES)
+@pytest.mark.parametrize("name", jacobi.GRADINGS)
 def test_gradings(name):
-    f = jacobi.generator(name, 2)
-    assert (f.weight2, f.index2) == GRADINGS[name]
-    assert f.series.is_integral
+    assert jacobi.GRADINGS[name] == GRADINGS[name]
+    assert jacobi.generator(name, 2).is_integral
+
+
+@pytest.mark.parametrize("name", jacobi.GRADINGS)
+def test_generators_have_the_support_parity_of_their_index(name):
+    # no generator passes through the JacobiForm parity check on its own
+    for qmax in range(13):
+        s = jacobi.generator(name, qmax)
+        assert jacobi.JacobiForm(*jacobi.GRADINGS[name], s).series is s
 
 
 def test_generator_rejects_unknown_name():
@@ -74,14 +81,14 @@ def test_generator_rejects_unknown_name():
 
 def test_ev_constants():
     for name, want in jacobi.EV_CONSTANTS.items():
-        ev = jacobi.ev_z0(jacobi.generator(name, 6))
+        ev = jacobi.generator(name, 6).collapse_y()
         assert ev.coeff(0) == want
         for n in range(1, 7):
             assert ev.coeff(n) == 0, (name, n)
 
 
 def test_ev_of_a_vanishes():
-    ev = jacobi.ev_z0(jacobi.generator("a", 6))
+    ev = jacobi.generator("a", 6).collapse_y()
     assert all(ev.coeff(n) == 0 for n in range(7))
 
 
@@ -115,7 +122,7 @@ def _half_monomials(qmax, sign):
 
 def _a_at(m, qmax):
     """a(mz): every doubled y-exponent R of a replaced by m * R."""
-    a = jacobi.generator("a", qmax).series
+    a = jacobi.generator("a", qmax)
     return LaurentSeries(1, qmax, {(n, (m * R,)): c for (n, (R,)), c in a.coeffs.items()})
 
 
@@ -164,11 +171,11 @@ def test_phi01_matches_theta_square_sums():
     # phi01 = 4 * sum_{i in {2,3,4}} theta_i(z)^2 / theta_i(0)^2
     for q in range(REFERENCE_QMAX + 1):
         want = 4 * (_theta2_quotient(q) + _theta34_quotients(q))
-        assert jacobi.generator("phi01", q).series == want, q
+        assert jacobi.generator("phi01", q) == want, q
 
 
 def test_z_taylor():
-    f = jacobi.generator("a", 3).series
+    f = jacobi.generator("a", 3)
     assert jacobi.z_taylor(f, 0) == f
     assert jacobi.z_taylor(_half_monomials(3, -1), 1) == _half_monomials(3, 1) * Fraction(1, 2)
     # D^2 a / 2 = D(D a) / 2: the helper composes as the Taylor coefficients must
@@ -176,17 +183,17 @@ def test_z_taylor():
     # at y = 1 they expand a(x) = x (1 + sum_j b_j x^j) with b_j = a_{j+1}: a'(0) = 1, a is
     # odd, and x/a(x) = exp(sum_k 2 G_2k x^2k / (2k)!) with G_2 = -E2/24, G_4 = E4/240
     q = 10
-    a = jacobi.generator("a", q).series
+    a = jacobi.generator("a", q)
     b = [jacobi.z_taylor(a, j + 1).collapse_y() for j in range(6)]
     e2, e4 = jacobi.modular.e2(q), jacobi.modular.e4(q)
     assert b[0] == LaurentSeries.one(0, q)
-    assert all(b[j].is_zero for j in (1, 3, 5))
+    assert not any(b[j] for j in (1, 3, 5))
     assert 24 * b[2] == e2
     assert 2880 * b[4] == e2 * e2 * Fraction(5, 2) - e4
 
 
 def test_z_taylor_and_lift_skip_the_validating_constructor(monkeypatch):
-    f = jacobi.generator("phi01", 4).series * Fraction(1, 3)  # R = 0 terms and a denominator
+    f = jacobi.generator("phi01", 4) * Fraction(1, 3)  # R = 0 terms and a denominator
     q = jacobi.modular.e4(4) * Fraction(1, 240)
     want = [LaurentSeries(1, 4, {(n, (R,)): c * Fraction(R ** i, 2 ** i * math.factorial(i))
                                  for (n, (R,)), c in f.coeffs.items()}) for i in range(4)]
@@ -207,14 +214,14 @@ def test_z_taylor_and_lift_skip_the_validating_constructor(monkeypatch):
 def test_a_matches_product_formula():
     q = REFERENCE_QMAX
     want = _half_monomials(q, -1) * _product_side(q, 1) * _euler_factor_sq_inv(q)
-    assert jacobi.generator("a", q).series == want
+    assert jacobi.generator("a", q) == want
 
 
 def test_phi032_matches_product_formula():
     # phi032 = (y^{1/2} + y^{-1/2}) P_2 / P_1 with P_t = _product_side(q, t);
     # P_1 is a unit with q^0 layer 1, so compare after multiplying it back.
     q = REFERENCE_QMAX
-    lhs = jacobi.generator("phi032", q).series * _product_side(q, 1)
+    lhs = jacobi.generator("phi032", q) * _product_side(q, 1)
     assert lhs == _half_monomials(q, 1) * _product_side(q, 2)
 
 
@@ -222,35 +229,29 @@ def test_phi032_matches_product_formula():
 def test_theta_multiplication_oracle(name, m):
     # phi032 = a(2z)/a(z) and phi04 = a(3z)/a(z)
     q = REFERENCE_QMAX
-    a = jacobi.generator("a", q)
-    assert (jacobi.generator(name, q) * a).series == _a_at(m, q)
+    assert jacobi.generator(name, q) * jacobi.generator("a", q) == _a_at(m, q)
 
 
 def test_ring_relation():
     p1, p32, p2, p4 = (jacobi.generator(n, 8) for n in ("phi01", "phi032", "phi02", "phi04"))
-    assert (4 * p4).series == (p1 * p32 * p32 - p2 * p2).series
+    assert 4 * p4 == p1 * p32 * p32 - p2 * p2
 
 
 def test_product_grading_and_identity():
+    # a product has the summed grading: a^2 has weight2 -4 and index2 2
     a = jacobi.generator("a", 4)
     p1 = jacobi.generator("phi01", 4)
     sq = a * a
-    assert (sq.weight2, sq.index2) == (-4, 2)
-    assert (p1 * 1).series == p1.series
+    assert jacobi.JacobiForm(-4, 2, sq).series is sq
+    assert jacobi.check_elliptic_law(sq, 2, 1).ok
+    assert p1 * 1 == p1
     assert jacobi.is_even(sq)
 
 
-def test_mismatched_addition_rejected():
-    a = jacobi.generator("a", 4)
-    p1 = jacobi.generator("phi01", 4)
-    with pytest.raises(ValueError):
-        a + p1
-
-
-@pytest.mark.parametrize("name", jacobi.GENERATOR_NAMES)
+@pytest.mark.parametrize("name", jacobi.GRADINGS)
 @pytest.mark.parametrize("lam", [-2, -1, 1, 2])
 def test_elliptic_law_generators(name, lam):
-    rep = jacobi.check_elliptic_law(jacobi.generator(name, 8), lam)
+    rep = jacobi.check_elliptic_law(jacobi.generator(name, 8), jacobi.GRADINGS[name][1], lam)
     assert rep.ok
     assert rep.pairs_checked >= 5
     assert not rep.vacuous
@@ -260,14 +261,21 @@ def test_elliptic_law_rejects_lambda_zero():
     # lambda = 0 maps each coefficient onto itself, so even a corrupted form
     # would pass; it is refused rather than reported as checked
     f = jacobi.generator("phi01", 3)
-    poisoned = jacobi.JacobiForm(0, 2, f.series + LaurentSeries.monomial(1, 3, 1, (0,), 999))
+    poisoned = f + LaurentSeries.monomial(1, 3, 1, (0,), 999)
     for g in (f, poisoned):
         with pytest.raises(ValueError, match="lambda"):
-            jacobi.check_elliptic_law(g, 0)
+            jacobi.check_elliptic_law(g, 2, 0)
+
+
+def test_elliptic_law_rejects_support_of_the_wrong_parity():
+    # a is odd in R, so it is no series of even doubled index
+    for lam in (1, 2):
+        with pytest.raises(ValueError, match="support parity"):
+            jacobi.check_elliptic_law(jacobi.generator("a", 3), 2, lam)
 
 
 @given(
-    st.lists(st.sampled_from(jacobi.GENERATOR_NAMES), min_size=1, max_size=3),
+    st.lists(st.sampled_from(list(jacobi.GRADINGS)), min_size=1, max_size=3),
     st.sampled_from([-1, 1]),
 )
 @settings(max_examples=25, deadline=None)
@@ -275,35 +283,29 @@ def test_elliptic_law_closed_under_products(names, lam):
     f = jacobi.generator(names[0], 6)
     for name in names[1:]:
         f = f * jacobi.generator(name, 6)
-    rep = jacobi.check_elliptic_law(f, lam)
+    rep = jacobi.check_elliptic_law(f, sum(jacobi.GRADINGS[n][1] for n in names), lam)
     assert rep.ok, rep.violations
 
 
 @pytest.mark.parametrize("name", ["a", "phi01", "phi032"])
 def test_elliptic_law_fault_injection(name):
-    f = jacobi.generator(name, 8)
-    R0 = 1 if f.index2 % 2 else 0
-    poisoned = jacobi.JacobiForm(
-        f.weight2,
-        f.index2,
-        f.series + LaurentSeries.monomial(1, f.qmax, 2, (R0,), 7),
-    )
-    rep = jacobi.check_elliptic_law(poisoned, 1)
+    index2 = jacobi.GRADINGS[name][1]
+    poisoned = jacobi.generator(name, 8) + LaurentSeries.monomial(1, 8, 2, (index2 % 2,), 7)
+    rep = jacobi.check_elliptic_law(poisoned, index2, 1)
     assert not rep.ok
     assert rep.violations
 
 
-def _law_reference(f, lam):
-    # (pairs checked, violations) of the law, read key by key on the Fraction
-    # coefficients: the reference for check_elliptic_law
-    m2 = f.index2
+def _law_reference(f, m2, lam):
+    # (pairs checked, violations) of the law for f at doubled index m2, read
+    # key by key on the Fraction coefficients: the reference for check_elliptic_law
     sign = -1 if (m2 * lam) % 2 else 1
 
     def image(n, R, l):
         return n + (l * R + m2 * l * l) // 2, R + 2 * m2 * l
 
     candidates = set()
-    for (n, (R,)) in f.series.coeffs:
+    for (n, (R,)) in f.coeffs:
         candidates.add((n, R))
         pn, pR = image(n, R, -lam)
         if 0 <= pn <= f.qmax:
@@ -323,35 +325,37 @@ def _law_reference(f, lam):
 
 @st.composite
 def _rational_forms(draw):
-    # a generator times p/q with q > 1, plus a few terms of either sign that
-    # usually break the law, mirrored in R or not so that evenness varies
-    name = draw(st.sampled_from(jacobi.GENERATOR_NAMES))
+    # (series, index2): a generator times p/q with q > 1, plus a few terms of
+    # either sign that usually break the law, mirrored in R or not so that
+    # evenness varies
+    name = draw(st.sampled_from(list(jacobi.GRADINGS)))
     qmax = draw(st.integers(1, 5))
-    f = jacobi.generator(name, qmax)
+    index2 = jacobi.GRADINGS[name][1]
     p = draw(st.sampled_from([-7, -5, -1, 1, 5, 7]))
     q = draw(st.sampled_from([2, 3, 4, 6, 9, 12]))
     extra = {}
     for n, j, c in draw(st.lists(st.tuples(st.integers(0, qmax), st.integers(-4, 4),
                                            st.fractions(-3, 3, max_denominator=6)),
                                  max_size=3)):
-        R = 2 * j + f.index2 % 2
+        R = 2 * j + index2 % 2
         mirrored = draw(st.booleans())
         for key in {(n, (R,)), (n, (-R,))} if mirrored else {(n, (R,))}:
             extra[key] = extra.get(key, 0) + c
-    return jacobi.JacobiForm(f.weight2, f.index2,
-                             f.series * Fraction(p, q) + LaurentSeries(1, qmax, extra))
+    s = jacobi.generator(name, qmax) * Fraction(p, q) + LaurentSeries(1, qmax, extra)
+    return s, index2
 
 
 @given(_rational_forms(), st.sampled_from([-2, -1, 1, 2]))
 @settings(max_examples=150, deadline=None)
-def test_law_and_evenness_on_numerators_match_fraction_reference(f, lam):
-    rep = jacobi.check_elliptic_law(f, lam)
-    assert (rep.pairs_checked, rep.violations) == _law_reference(f, lam)
+def test_law_and_evenness_on_numerators_match_fraction_reference(form, lam):
+    f, index2 = form
+    rep = jacobi.check_elliptic_law(f, index2, lam)
+    assert (rep.pairs_checked, rep.violations) == _law_reference(f, index2, lam)
     assert rep.ok == (not rep.violations) and rep.vacuous == (rep.pairs_checked == 0)
     for row in rep.violations:
         assert all(type(v) is int for v in row[:4])
         assert all(type(v) is Fraction for v in row[4:])
-    want_even = all(f.coeff(n, -R) == c for (n, (R,)), c in f.series.coeffs.items())
+    want_even = all(f.coeff(n, -R) == c for (n, (R,)), c in f.coeffs.items())
     assert jacobi.is_even(f) == want_even
 
 
@@ -438,18 +442,27 @@ def test_verify_clas_solves_each_coin_table_once():
 
 
 def test_serialization_roundtrip():
-    for name in jacobi.GENERATOR_NAMES:
-        f = jacobi.generator(name, 3)
-        g = jacobi.JacobiForm.from_obj(f.to_obj())
-        assert g.series == f.series
-        assert (g.weight2, g.index2) == (f.weight2, f.index2)
+    for name, grading in jacobi.GRADINGS.items():
+        f = jacobi.JacobiForm(*grading, jacobi.generator(name, 3))
+        assert jacobi.JacobiForm.from_obj(f.to_obj()) == f
 
 
 # ---------------------------------------------------------------- record semantics
 
 
+def test_jacobi_form_is_only_a_json_record():
+    # no arithmetic and no accessors: the tags exist only at the JSON boundary
+    methods = {k for k, v in vars(jacobi.JacobiForm).items()
+               if callable(v) or isinstance(v, (classmethod, property))}
+    assert methods == {"__init__", "to_obj", "from_obj"}
+    with pytest.raises(ValueError, match="support parity broken at"):
+        jacobi.JacobiForm(0, 2, jacobi.generator("a", 1))
+    with pytest.raises(ValueError, match="elliptic variable"):
+        jacobi.JacobiForm(0, 0, LaurentSeries.one(0, 1))
+
+
 def test_jacobi_form_is_a_value_record():
-    s = jacobi.generator("a", 1).series
+    s = jacobi.generator("a", 1)
     f = jacobi.JacobiForm(-2, 1, s)
     assert f == jacobi.JacobiForm(weight2=-2, index2=1, series=s)
     assert hash(f) == hash(jacobi.JacobiForm(-2, 1, LaurentSeries(1, 1, dict(s.coeffs))))
@@ -477,7 +490,7 @@ def test_elliptic_law_report_is_a_value_record():
     assert rep != jacobi.EllipticLawReport(-1, 3, ((0, 1, 2),), False)
     assert rep != (1, 3, ((0, 1, 2),), False)
     assert repr(rep) == "EllipticLawReport(lam=1, pairs_checked=3, violations=((0, 1, 2),), vacuous=False)"
-    assert repr(jacobi.check_elliptic_law(jacobi.generator("a", 1), 1)) == (
+    assert repr(jacobi.check_elliptic_law(jacobi.generator("a", 1), 1, 1)) == (
         "EllipticLawReport(lam=1, pairs_checked=4, violations=(), vacuous=False)")
     with pytest.raises(AttributeError):
         rep.violations = ()

@@ -240,11 +240,31 @@ def test_coeff_rejects_an_R_of_the_wrong_length():
     with pytest.raises(ValueError, match="length 1, not nvars = 0"):
         modular.e4(2).coeff(1, (0,))
     with pytest.raises(ValueError, match="length 2, not nvars = 1"):
-        jacobi.generator("a", 2).series.coeff(0, (1, 2))
+        jacobi.generator("a", 2).coeff(0, (1, 2))
     with pytest.raises(ValueError, match="length 1, not nvars = 2"):
         LaurentSeries.one(2, 1).coeff(0, 0)
     assert modular.e4(2).coeff(1) == modular.e4(2).coeff(1, ()) == 240
-    assert jacobi.generator("a", 2).series.coeff(0, 1) == 1
+    assert jacobi.generator("a", 2).coeff(0, 1) == 1
+
+
+def test_coeff_and_q_layer_above_qmax_are_unknown():
+    from genera import modular
+
+    e4 = modular.e4(2)
+    # q^5 of E4 is 30240; at qmax 2 it is not known, so it is not read as 0
+    with pytest.raises(ValueError, match=r"q\^5 is above qmax = 2"):
+        e4.coeff(5)
+    with pytest.raises(ValueError, match=r"q\^3 is above qmax = 2"):
+        e4.q_layer(3)
+    a = LaurentSeries.monomial(1, 1, 1, (1,))
+    with pytest.raises(ValueError, match=r"q\^2 is above qmax = 1"):
+        a.coeff(2, 1)
+    with pytest.raises(ValueError, match=r"q\^2 is above qmax = 1"):
+        a.q_layer(2)
+    # q-powers up to qmax read as stored, and negative ones as 0
+    assert (e4.coeff(2), e4.coeff(-1), e4.q_layer(-1)) == (2160, 0, {})
+    assert (a.coeff(1, 1), a.q_layer(1), a.q_layer(0)) == (1, {(1,): 1}, {})
+    assert modular.e4(5).coeff(5) == 30240
 
 
 def test_zero_pruning():
@@ -276,7 +296,7 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         LaurentSeries(1, 2, {(-1, (0,)): 1})  # negative q-power
     # beyond-qmax keys are the truncation itself, dropped without error
-    assert LaurentSeries(1, 2, {(5, (0,)): 1}).is_zero
+    assert not LaurentSeries(1, 2, {(5, (0,)): 1})
 
 
 def test_binary_ops_truncate_to_min_qmax():

@@ -2,8 +2,11 @@
 
 `jf gen` prints every generator and `genus compute` prints the genus of the
 bundled Chern data, and of a dimc-3 file whose genus is not integral, as long
-JSON series. tests/data/series_stdout_sha256.json holds the exit code and the
-sha256 of stdout for each request. To rewrite it after a deliberate change to
+JSON series. `jf check` reads three small form files under tests/data: one
+that obeys the law (exit 0), one with a violation (exit 1) and one whose
+support breaks the index parity (exit 2, empty stdout). `selftest` exits 1
+because of criterion 7. tests/data/series_stdout_sha256.json holds the exit
+code and the sha256 of stdout for each request. To rewrite it after a deliberate change to
 the output, run
 
     PYTHONPATH=src python tests/test_series_stdout.py
@@ -19,18 +22,21 @@ import pathlib
 import pytest
 
 from genera import cli
-from genera.jacobi import GENERATOR_NAMES
+from genera.jacobi import GRADINGS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PINS = ROOT / "tests" / "data" / "series_stdout_sha256.json"
 
 # paths are relative to the repository root, where every request runs
 CASES = (
-    [["jf", "gen", name, "--qmax", str(q)] for name in GENERATOR_NAMES for q in (0, 3, 8, 20)]
+    [["jf", "gen", name, "--qmax", str(q)] for name in GRADINGS for q in (0, 3, 8, 20)]
     + [["genus", "compute", "--chern", chern, "--nvars", str(n), "--qmax", "4"]
        for chern in ("k3", "quintic") for n in (1, 2, 3)]
     + [["genus", "compute", "--chern", "tests/data/chern_dimc3_nonintegral.json",
         "--nvars", "1", "--qmax", "4"]]
+    + [["jf", "check", f"tests/data/form_phi01_q1{kind}.json", "--lambda", lam]
+       for kind in ("", "_violation", "_parity") for lam in ("1", "-1")]
+    + [["selftest"]]
 )
 
 
