@@ -10,17 +10,20 @@ failure, 2 on usage or file errors.
 
 Every command runs in a fresh process, and on most requests the import is
 dearer than the arithmetic, so each command pays only for itself: this
-module loads no layer of the library (only values), every handler
-imports its own layer, and the parser gets subcommands only for the group
-that argv names.
+module loads no layer of the library (only values), and every handler
+imports its own layer. The grammar is one table, _COMMANDS. main parses a
+well-formed argv straight from it and imports no argparse; build_parser
+makes the argparse parser from the same table only for what the table parse
+leaves to it: help, usage errors, and the spellings argparse also accepts,
+such as an abbreviated flag or --flag=value.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 from genera.values import value_str
 
 # Largest --qmax that jf gen and genus compute accept. In a fresh process on
@@ -36,31 +39,37 @@ QMAX_CAP = 100
 NVARS_CAP = 3
 
 
+def _type_error(message: str) -> Exception:
+    from argparse import ArgumentTypeError
+
+    return ArgumentTypeError(message)
+
+
 def _nonneg(text: str) -> int:
     n = int(text)
     if n < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
+        raise _type_error("must be >= 0")
     return n
 
 
 def _qmax(text: str) -> int:
     n = _nonneg(text)
     if n > QMAX_CAP:
-        raise argparse.ArgumentTypeError(f"must be <= {QMAX_CAP}")
+        raise _type_error(f"must be <= {QMAX_CAP}")
     return n
 
 
 def _positive(text: str) -> int:
     n = int(text)
     if n < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
+        raise _type_error("must be >= 1")
     return n
 
 
 def _nvars(text: str) -> int:
     n = _positive(text)
     if n > NVARS_CAP:
-        raise argparse.ArgumentTypeError(f"must be <= {NVARS_CAP}")
+        raise _type_error(f"must be <= {NVARS_CAP}")
     return n
 
 
@@ -228,139 +237,188 @@ def _cmd_selftest(args, out) -> int:
     return 0 if acceptance.run_all(out) else 1
 
 
-def _add_format(parser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("json", "csv", "md"),
-        default="json",
-        help="table output format (default json)",
-    )
-
-
-def _jf_commands(group) -> None:
+def _generator_names():
     from genera.jacobi import GRADINGS
 
-    jfsub = group.add_subparsers(dest="subcommand", required=True)
-    gen = jfsub.add_parser("gen", help="print a ring generator as JSON")
-    gen.add_argument("name", choices=GRADINGS)
-    gen.add_argument("--qmax", type=_qmax, default=10,
-                     help=f"highest q-power kept, 0..{QMAX_CAP} (default 10)")
-    gen.set_defaults(func=_cmd_jf_gen)
-    chk = jfsub.add_parser("check", help="verify the elliptic transformation law")
-    chk.add_argument("file", help="JSON file as written by 'jf gen' or 'genus compute'")
-    chk.add_argument("--lambda", dest="lam", type=int, default=1)
-    chk.set_defaults(func=_cmd_jf_check)
+    return GRADINGS
 
 
-def _genus_commands(group) -> None:
-    gnsub = group.add_subparsers(dest="subcommand", required=True)
-    comp = gnsub.add_parser("compute", help="print the genus as JSON")
-    comp.add_argument("--chern", required=True, help="Chern-number file or fixture name")
-    comp.add_argument("--nvars", type=_nvars, default=1,
-                      help=f"elliptic variables, 1..{NVARS_CAP} (default 1)")
-    comp.add_argument("--qmax", type=_qmax, default=10,
-                      help=f"highest q-power kept, 0..{QMAX_CAP} (default 10)")
-    comp.set_defaults(func=_cmd_genus_compute)
-    eul = gnsub.add_parser("euler", help="print the Euler number")
-    eul.add_argument("--chern", required=True, help="Chern-number file or fixture name")
-    eul.set_defaults(func=_cmd_genus_euler)
+_DATA_DIR = ("--data-dir", {"help": "directory searched for named tables and fixtures "
+                                    "(same effect as GENERA_DATA_DIR)"})
+_QMAX = ("--qmax", {"type": _qmax, "default": 10,
+                    "help": f"highest q-power kept, 0..{QMAX_CAP} (default 10)"})
+_CHERN = ("--chern", {"required": True, "help": "Chern-number file or fixture name"})
+_KMAX = ("--kmax", {"type": _positive, "required": True})
+_FORMAT = ("--format", {"choices": ("json", "csv", "md"), "default": "json",
+                        "help": "table output format (default json)"})
 
-
-def _divis_commands(group) -> None:
-    dvsub = group.add_subparsers(dest="subcommand", required=True)
-    tab = dvsub.add_parser("table", help="print all four families for k = 1..kmax")
-    tab.add_argument("--kmax", type=_positive, required=True)
-    _add_format(tab)
-    tab.set_defaults(func=_cmd_divis_table)
-    ver = dvsub.add_parser(
-        "verify-clas", help="closed form vs gcd-of-basis oracle for d_clas"
-    )
-    ver.add_argument("--kmax", type=_positive, required=True)
-    _add_format(ver)
-    ver.set_defaults(func=_cmd_divis_verify_clas)
-    vd = dvsub.add_parser("verdict", help="does a divisibility constant allow an Euler number")
-    vd.add_argument("--structure", choices=("SU", "Sp", "SO"), required=True)
-    vd.add_argument("--k", type=_positive, required=True)
-    vd.add_argument("--euler", type=int, required=True)
-    vd.set_defaults(func=_cmd_divis_verdict)
-
-
-def _cells_commands(group) -> None:
-    clsub = group.add_subparsers(dest="subcommand", required=True)
-    hom = clsub.add_parser("homotopy", help="homotopy of a cofiber in one degree")
-    hom.add_argument("--complex", required=True, help="cell-complex file or name")
-    hom.add_argument("--table", required=True, help="coefficient-table file or name")
-    hom.add_argument("--deg", type=int, required=True)
-    hom.set_defaults(func=_cmd_cells_homotopy)
-    orde = clsub.add_parser("order", help="order of an element of a table")
-    orde.add_argument("--table", required=True)
-    orde.add_argument(
-        "--element", required=True, help="comma-separated terms, e.g. 'eta' or '8*nu'"
-    )
-    orde.set_defaults(func=_cmd_cells_order)
-    dse = clsub.add_parser(
-        "dsu-easy", help="cofiber-engine SU estimates vs the closed form"
-    )
-    dse.add_argument("--kmax", type=_positive, required=True)
-    _add_format(dse)
-    dse.set_defaults(func=_cmd_cells_dsu_easy)
-
-
-def _hk_commands(group) -> None:
-    hksub = group.add_subparsers(dest="subcommand", required=True)
-    slv = hksub.add_parser("solve", help="match equations, derived relation, Euler divisor")
-    slv.add_argument("--k", type=int, choices=(2, 3), required=True)
-    slv.set_defaults(func=_cmd_hk_solve)
-
-
-def _selftest_commands(group) -> None:
-    group.set_defaults(func=_cmd_selftest)
-
-
-# name -> (help, function that adds the group's subcommands)
-_GROUPS = {
-    "jf": ("Jacobi form generators and checks", _jf_commands),
-    "genus": ("elliptic genus from Chern numbers", _genus_commands),
-    "divis": ("divisibility constants", _divis_commands),
-    "cells": ("cell complexes over coefficient tables", _cells_commands),
-    "hk": ("hyperkahler Hodge-number systems", _hk_commands),
-    "selftest": ("run the full acceptance suite", _selftest_commands),
+# The grammar. group -> (help, {subcommand: (help, handler, arguments)}), or
+# (help, handler) for a group without subcommands. An argument is a flag or a
+# positional's dest with its add_argument keywords; a callable `choices` is
+# called when the choices are needed, so that naming them imports nothing.
+_COMMANDS = {
+    "jf": ("Jacobi form generators and checks", {
+        "gen": ("print a ring generator as JSON", _cmd_jf_gen, (
+            ("name", {"choices": _generator_names}),
+            _QMAX,
+        )),
+        "check": ("verify the elliptic transformation law", _cmd_jf_check, (
+            ("file", {"help": "JSON file as written by 'jf gen' or 'genus compute'"}),
+            ("--lambda", {"dest": "lam", "type": int, "default": 1}),
+        )),
+    }),
+    "genus": ("elliptic genus from Chern numbers", {
+        "compute": ("print the genus as JSON", _cmd_genus_compute, (
+            _CHERN,
+            ("--nvars", {"type": _nvars, "default": 1,
+                         "help": f"elliptic variables, 1..{NVARS_CAP} (default 1)"}),
+            _QMAX,
+        )),
+        "euler": ("print the Euler number", _cmd_genus_euler, (_CHERN,)),
+    }),
+    "divis": ("divisibility constants", {
+        "table": ("print all four families for k = 1..kmax", _cmd_divis_table,
+                  (_KMAX, _FORMAT)),
+        "verify-clas": ("closed form vs gcd-of-basis oracle for d_clas",
+                        _cmd_divis_verify_clas, (_KMAX, _FORMAT)),
+        "verdict": ("does a divisibility constant allow an Euler number", _cmd_divis_verdict, (
+            ("--structure", {"choices": ("SU", "Sp", "SO"), "required": True}),
+            ("--k", {"type": _positive, "required": True}),
+            ("--euler", {"type": int, "required": True}),
+        )),
+    }),
+    "cells": ("cell complexes over coefficient tables", {
+        "homotopy": ("homotopy of a cofiber in one degree", _cmd_cells_homotopy, (
+            ("--complex", {"required": True, "help": "cell-complex file or name"}),
+            ("--table", {"required": True, "help": "coefficient-table file or name"}),
+            ("--deg", {"type": int, "required": True}),
+        )),
+        "order": ("order of an element of a table", _cmd_cells_order, (
+            ("--table", {"required": True}),
+            ("--element", {"required": True,
+                           "help": "comma-separated terms, e.g. 'eta' or '8*nu'"}),
+        )),
+        "dsu-easy": ("cofiber-engine SU estimates vs the closed form", _cmd_cells_dsu_easy,
+                     (_KMAX, _FORMAT)),
+    }),
+    "hk": ("hyperkahler Hodge-number systems", {
+        "solve": ("match equations, derived relation, Euler divisor", _cmd_hk_solve, (
+            ("--k", {"type": int, "choices": (2, 3), "required": True}),
+        )),
+    }),
+    "selftest": ("run the full acceptance suite", _cmd_selftest),
 }
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The full parser, or for an argv only the groups it names.
+def _keywords(kw: dict) -> dict:
+    """add_argument keywords with a callable `choices` called."""
+    if callable(kw.get("choices")):
+        return {**kw, "choices": kw["choices"]()}
+    return kw
 
-    argparse enters a group only when argv holds its name as an exact token,
-    so a group named by no token needs no subcommands: help, usage errors and
-    parse results are the same as with every group built.
-    """
+
+def build_parser():
+    """The argparse parser for _COMMANDS; main builds it only for help and usage errors."""
+    import argparse
+
     p = argparse.ArgumentParser(
         prog="genera",
         description="Exact Jacobi-form series, elliptic genera, divisibility "
         "constants, cell-complex homotopy windows, and Hodge-number systems.",
     )
-    p.add_argument(
-        "--data-dir",
-        help="directory searched for named tables and fixtures "
-        "(same effect as GENERA_DATA_DIR)",
-    )
+    p.add_argument(_DATA_DIR[0], **_DATA_DIR[1])
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_, add_commands) in _GROUPS.items():
+    for name, (help_, commands) in _COMMANDS.items():
         group = sub.add_parser(name, help=help_)
-        if argv is None or name in argv:
-            add_commands(group)
+        if callable(commands):
+            group.set_defaults(func=commands)
+            continue
+        subs = group.add_subparsers(dest="subcommand", required=True)
+        for sub_name, (sub_help, handler, arguments) in commands.items():
+            cmd = subs.add_parser(sub_name, help=sub_help)
+            for flag, kw in arguments:
+                cmd.add_argument(flag, **_keywords(kw))
+            cmd.set_defaults(func=handler)
     return p
+
+
+def _is_value(token: str) -> bool:
+    # argparse takes a token that starts with "-" as an option string, except
+    # "-<digits>" here, where no option looks like a negative number
+    return not token.startswith("-") or token[1:].isdecimal()
+
+
+def parse_table(argv):
+    """argv parsed straight from _COMMANDS, or None where argparse must decide.
+
+    Takes an optional leading --data-dir DIR, a group, its subcommand, and then
+    positionals and --flag VALUE pairs with full flag names. Each value goes
+    through the argument's type and choices once per occurrence, and the last
+    occurrence of an option wins. Anything else (help, an abbreviated flag,
+    --flag=value, --, a value that argparse would take for an option, a
+    missing or extra token, a failed conversion or choice) returns None, and
+    argparse parses it, or prints the help or usage error.
+    """
+    tokens = iter(argv)
+    ns = {"data_dir": None}
+    token = next(tokens, None)
+    if token == _DATA_DIR[0]:
+        token = next(tokens, None)
+        if token is None or not _is_value(token):
+            return None
+        ns["data_dir"] = token
+        token = next(tokens, None)
+    if token not in _COMMANDS:
+        return None
+    ns["command"] = token
+    commands = _COMMANDS[token][1]
+    if callable(commands):
+        handler, arguments = commands, ()
+    else:
+        token = next(tokens, None)
+        if token not in commands:
+            return None
+        ns["subcommand"] = token
+        handler, arguments = commands[token][1:]
+    keywords = dict(arguments)
+    positionals = [name for name in keywords if not name.startswith("-")]
+    flags = [flag for flag in keywords if flag.startswith("-")]
+    dest = {flag: kw.get("dest", flag.lstrip("-").replace("-", "_"))
+            for flag, kw in keywords.items()}
+    ns.update((dest[flag], keywords[flag].get("default")) for flag in flags)
+    missing = {flag for flag in flags if keywords[flag].get("required")}
+    for token in tokens:
+        if token in flags:
+            flag, text = token, next(tokens, None)
+            missing.discard(flag)
+        elif positionals:
+            flag, text = positionals.pop(0), token
+        else:
+            return None
+        if text is None or not _is_value(text):
+            return None
+        kw = _keywords(keywords[flag])
+        try:
+            value = kw.get("type", str)(text)
+        except Exception:  # argparse converts it again, and reports or raises it as always
+            return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        ns[dest[flag]] = value
+    if positionals or missing:
+        return None
+    return SimpleNamespace(**ns, func=handler)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed the message
-        return int(exc.code or 0)
+    args = parse_table(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse already printed the message
+            return int(exc.code or 0)
     saved_data_dir = os.environ.get("GENERA_DATA_DIR")
     if args.data_dir:
         os.environ["GENERA_DATA_DIR"] = args.data_dir

@@ -644,3 +644,30 @@ def test_check_commands_never_import_dataclasses():
     assert json.loads(proc.stdout) == {
         "codes": [0] * 7, "dataclasses_after": False, "series_after_exact": [],
         "series_after_verify_clas": ["genera.series", "genera.modular", "genera.jacobi"]}
+
+
+ARGPARSE_PROBE = """
+import contextlib, io, json, sys
+import genera.cli
+at_import = "argparse" in sys.modules
+commands = (["jf", "gen", "a", "--qmax", "2"], ["genus", "euler", "--chern", "k3"],
+            ["divis", "verdict", "--structure", "SU", "--k", "2", "--euler", "24"],
+            ["cells", "order", "--table", "pi_tmf", "--element", "eta"],
+            ["hk", "solve", "--k", "2"], ["selftest"])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [genera.cli.main(c) for c in commands]
+    after_commands = "argparse" in sys.modules
+    codes.append(genera.cli.main(["--help"]))
+print(json.dumps({"codes": codes, "at_import": at_import, "after_commands": after_commands,
+                  "after_help": "argparse" in sys.modules}))
+"""
+
+
+def test_well_formed_commands_never_import_argparse():
+    # one command of every group; selftest exits 1 for criterion 7
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", ARGPARSE_PROBE],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0, 0, 1, 0], "at_import": False,
+                                       "after_commands": False, "after_help": True}

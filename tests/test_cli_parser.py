@@ -4,6 +4,8 @@ Each case runs cli.main on one argv and compares stdout, stderr and the exit
 code with tests/data/cli_parser_golden.json. argparse's wording and wrapping
 differ between Python versions and with the terminal width, so the cases run
 at COLUMNS=80 and the file records the Python version it was written with.
+The table parse that main tries first must agree with argparse wherever it
+answers, and leave help and usage errors to argparse.
 To rewrite it after a deliberate change to a help string, run
 
     PYTHONPATH=src python tests/test_cli_parser.py
@@ -18,8 +20,11 @@ import shutil
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genera import cli
+from genera.jacobi import GRADINGS
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "cli_parser_golden.json"
 PI_TMF = pathlib.Path(cli.__file__).resolve().parent / "data" / "pi_tmf.json"
@@ -96,6 +101,119 @@ def test_every_group_is_built_without_argv():
         actions = groups[name]._subparsers
         got = () if actions is None else tuple(actions._group_actions[0].choices)
         assert got == subs, name
+
+
+# Values each argument accepts, drawn as argv tokens. A string value may be any
+# text that argparse does not take for an option string, "-<digits>" included.
+TEXT = st.one_of(st.text(max_size=8).filter(lambda t: not t.startswith("-")),
+                 st.integers(max_value=-1).map(str))
+INT = st.integers(-10**6, 10**6).map(str)
+POSITIVE = st.integers(1, 10**6).map(str)
+FORMAT = st.sampled_from(["json", "csv", "md"])
+QMAX = st.integers(0, cli.QMAX_CAP).map(str)
+ARGS = {
+    ("jf", "gen"): {"name": st.sampled_from(list(GRADINGS)), "--qmax": QMAX},
+    ("jf", "check"): {"file": TEXT, "--lambda": INT},
+    ("genus", "compute"): {"--chern": TEXT, "--nvars": st.integers(1, cli.NVARS_CAP).map(str),
+                           "--qmax": QMAX},
+    ("genus", "euler"): {"--chern": TEXT},
+    ("divis", "table"): {"--kmax": POSITIVE, "--format": FORMAT},
+    ("divis", "verify-clas"): {"--kmax": POSITIVE, "--format": FORMAT},
+    ("divis", "verdict"): {"--structure": st.sampled_from(["SU", "Sp", "SO"]),
+                           "--k": POSITIVE, "--euler": INT},
+    ("cells", "homotopy"): {"--complex": TEXT, "--table": TEXT, "--deg": INT},
+    ("cells", "order"): {"--table": TEXT, "--element": TEXT},
+    ("cells", "dsu-easy"): {"--kmax": POSITIVE, "--format": FORMAT},
+    ("hk", "solve"): {"--k": st.sampled_from(["2", "3"])},
+    ("selftest",): {},
+}
+REQUIRED = {"--chern", "--kmax", "--structure", "--k", "--euler", "--complex", "--table",
+            "--deg", "--element"}
+
+
+@st.composite
+def well_formed(draw):
+    """argv of one subcommand as (head, units): the optional --data-dir DIR and the
+    command, then one unit per option or positional. Options come shuffled,
+    repeated or omitted, and positionals anywhere among them."""
+    command = draw(st.sampled_from(list(ARGS)))
+    units = []
+    for flag, values in ARGS[command].items():
+        if flag.startswith("-"):
+            count = draw(st.integers(1 if flag in REQUIRED else 0, 2))
+            units += [[flag, draw(values)] for _ in range(count)]
+    units = draw(st.permutations(units))
+    for name, values in ARGS[command].items():
+        if not name.startswith("-"):
+            units.insert(draw(st.integers(0, len(units))), [draw(values)])
+    prefix = draw(st.sampled_from([[], ["--data-dir", draw(TEXT)]]))
+    return prefix + list(command), units
+
+
+def flat(head, units):
+    return head + [token for unit in units for token in unit]
+
+
+def argparse_args(argv):
+    """vars() of argparse's parse of argv, or None for a usage error or help."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def test_well_formed_argv_covers_every_subcommand():
+    assert set(ARGS) == {(g, *([s] if s else [])) for g, subs in GROUPS.items()
+                         for s in subs or [None]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(well_formed())
+def test_table_parse_agrees_with_argparse(drawn):
+    argv = flat(*drawn)
+    table = cli.parse_table(argv)
+    assert table is not None, argv
+    assert vars(table) == argparse_args(argv)
+
+
+NOISE = ["-x", "--", "-h", "--help", "--qm", "--qmax=5", "--k", "extra", "-", "--data-dir",
+         "", "-1", "0", "4", "101", "a", "x", "Sp", "json", "jf", "gen"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(well_formed(), st.data())
+def test_table_parse_defers_or_agrees(drawn, data):
+    # a well-formed argv with options dropped, values replaced or tokens
+    # inserted: where the table parse answers at all, argparse parses the
+    # argv to the same result
+    head, units = drawn[0], list(drawn[1])
+    for _ in range(data.draw(st.integers(1, 2))):
+        at = data.draw(st.integers(0, len(units)))
+        edit = data.draw(st.sampled_from(["drop", "replace", "insert"]))
+        token = data.draw(st.sampled_from(NOISE))
+        if edit == "insert" or at == len(units):
+            units.insert(at, [token])
+        elif edit == "drop":
+            del units[at]
+        else:
+            units[at] = units[at][:-1] + [token]
+    argv = flat(head, units)
+    table = cli.parse_table(argv)
+    if table is not None:
+        assert vars(table) == argparse_args(argv), argv
+
+
+DEFERRED = [case["argv"] for case in _golden()["cases"]
+            if case["out"].startswith("usage:") or case["err"].startswith("usage:")]
+DEFERRED += [["jf", "gen", "a", "--qm", "5"], ["jf", "gen", "a", "--qmax=5"],
+             ["jf", "gen", "--", "a"], ["genus", "euler", "--chern", "-x"],
+             ["jf", "gen", "a", "extra"]]
+
+
+@pytest.mark.parametrize("argv", DEFERRED, ids=lambda argv: " ".join(argv) or "-")
+def test_table_parse_defers_help_and_usage_errors(argv):
+    assert cli.parse_table(argv) is None
 
 
 if __name__ == "__main__":
