@@ -15,7 +15,7 @@ print("d_clas cross-checked against the gcd of a weight-0 monomial basis:")
 for k in range(1, 13):
     basis = jacobi.dclas_gcd_via_basis(k)
     closed = divis.d_clas(k)
-    print(f"  k={k:2}: closed={value_str(closed):>4}  basis={value_str(basis) if basis is not None else 'inf':>4}")
+    print(f"  k={k:2}: closed={value_str(closed):>4}  basis={value_str(basis):>4}")
 
 print()
 print("where the easy SU bound is not sharp (first few cases):")

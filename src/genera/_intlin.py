@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from math import gcd, prod
 
+from genera.values import INF
+
 
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -164,12 +166,12 @@ def quotient_presentation(n: int, gens: list[list[int]]):
 
 
 def order_in_quotient(n: int, gens: list[list[int]], e: list[int]):
-    """Order of e + <gens> in Z^n / <gens>; None means infinite.
+    """Order of e + <gens> in Z^n / <gens>; INF when infinite.
 
     That is the order of the cyclic group (<gens> + Ze) / <gens>.
     """
     free, torsion = lattice_quotient(n, gens + [e], gens)
-    return None if free else prod(torsion)
+    return INF if free else prod(torsion)
 
 
 def lattice_basis(n: int, gens: list[list[int]]) -> list[list[int]]:

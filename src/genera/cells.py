@@ -17,12 +17,10 @@ over the same presentations.
 Bundled data files ship the stable stems in the range 0..7, the connective
 tmf pattern in 0..8 and the two-cell complexes tmf_mod_nu, tmf_mod_eta,
 tjf_2 and tejf_2.  GENERA_DATA_DIR overrides the bundled directory.
-Each distinct table file content is parsed and audited once per process.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 from math import gcd, lcm, prod
@@ -107,10 +105,14 @@ class GradedTable(Record):
 
 
 def _terms(spec) -> list:
-    # a generator name, or a non-empty list of (mult, name) pairs
+    # a generator name, or a non-empty list of (mult, name) pairs, mult an int
     if isinstance(spec, str):
         return [(1, spec)]
-    out = [(int(m), name) for m, name in spec]
+    out = []
+    for m, name in spec:
+        if type(m) is not int:
+            raise TableError(f"term ({m!r}, {name!r}) needs an integer multiplier")
+        out.append((m, name))
     if not out:
         raise TableError("empty element spec")
     return out
@@ -153,22 +155,12 @@ def table_load(path: str) -> GradedTable:
     every declared product, order compatibility (the order of either factor
     kills the product), graded commutativity where both orders of a pair are
     declared, and associativity on every triple of generators whose products
-    all resolve.
-
-    The file is read on every call, but a given (resolved path, content) is
-    parsed and audited once per process; repeated loads share one read-only
-    table.  Keying on the content, not the mtime, reloads a file rewritten
-    within one timestamp tick.
+    all resolve.  Every call reads, parses and audits the file; a caller
+    that needs a table for many requests loads it once and passes it on.
     """
     fpath = resolve_data(path)
     with open(fpath) as fh:
-        text = fh.read()
-    return _table_from_text(fpath, text)
-
-
-@functools.lru_cache(maxsize=32)
-def _table_from_text(fpath: str, text: str) -> GradedTable:
-    raw = json.loads(text)
+        raw = json.load(fh)
     try:
         name = raw["name"]
         window = raw["window"]
@@ -511,9 +503,8 @@ def image_order_in_cofiber(element: Element, cplx: CellComplex, table: GradedTab
     n = len(table.gens(target))
     if not n:
         return 1
-    got = _intlin.order_in_quotient(n, _cokernel_columns(table, source, alpha, target),
-                                    list(element.vector))
-    return INF if got is None else got
+    return _intlin.order_in_quotient(n, _cokernel_columns(table, source, alpha, target),
+                                     list(element.vector))
 
 
 def dsu_easy(k: int, table: GradedTable, cofib: CellComplex):

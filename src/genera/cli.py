@@ -237,12 +237,6 @@ def _cmd_selftest(args, out) -> int:
     return 0 if acceptance.run_all(out) else 1
 
 
-def _generator_names():
-    from genera.jacobi import GRADINGS
-
-    return GRADINGS
-
-
 _DATA_DIR = ("--data-dir", {"help": "directory searched for named tables and fixtures "
                                     "(same effect as GENERA_DATA_DIR)"})
 _QMAX = ("--qmax", {"type": _qmax, "default": 10,
@@ -254,12 +248,11 @@ _FORMAT = ("--format", {"choices": ("json", "csv", "md"), "default": "json",
 
 # The grammar. group -> (help, {subcommand: (help, handler, arguments)}), or
 # (help, handler) for a group without subcommands. An argument is a flag or a
-# positional's dest with its add_argument keywords; a callable `choices` is
-# called when the choices are needed, so that naming them imports nothing.
+# positional's dest with its add_argument keywords.
 _COMMANDS = {
     "jf": ("Jacobi form generators and checks", {
         "gen": ("print a ring generator as JSON", _cmd_jf_gen, (
-            ("name", {"choices": _generator_names}),
+            ("name", {"choices": ("a", "phi01", "phi032", "phi02", "phi04")}),
             _QMAX,
         )),
         "check": ("verify the elliptic transformation law", _cmd_jf_check, (
@@ -310,13 +303,6 @@ _COMMANDS = {
 }
 
 
-def _keywords(kw: dict) -> dict:
-    """add_argument keywords with a callable `choices` called."""
-    if callable(kw.get("choices")):
-        return {**kw, "choices": kw["choices"]()}
-    return kw
-
-
 def build_parser():
     """The argparse parser for _COMMANDS; main builds it only for help and usage errors."""
     import argparse
@@ -337,7 +323,7 @@ def build_parser():
         for sub_name, (sub_help, handler, arguments) in commands.items():
             cmd = subs.add_parser(sub_name, help=sub_help)
             for flag, kw in arguments:
-                cmd.add_argument(flag, **_keywords(kw))
+                cmd.add_argument(flag, **kw)
             cmd.set_defaults(func=handler)
     return p
 
@@ -397,7 +383,7 @@ def parse_table(argv):
             return None
         if text is None or not _is_value(text):
             return None
-        kw = _keywords(keywords[flag])
+        kw = keywords[flag]
         try:
             value = kw.get("type", str)(text)
         except Exception:  # argparse converts it again, and reports or raises it as always

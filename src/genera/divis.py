@@ -98,8 +98,7 @@ def d_clas_report(k: int) -> DivReport:
     from genera import jacobi  # loads the series layer, which nothing else here needs
 
     closed = d_clas(k)
-    g = jacobi.dclas_gcd_via_basis(k)
-    basis = INF if g is None else g
+    basis = jacobi.dclas_gcd_via_basis(k)
     return DivReport("clas", k, closed, (("closed_form", closed), ("basis_gcd", basis)),
                      closed == basis)
 

@@ -53,10 +53,6 @@ class ChernDataError(ValueError):
     pass
 
 
-def partition_key(parts: tuple[int, ...]) -> str:
-    return ",".join(str(p) for p in parts)
-
-
 def parse_partition_key(key: str) -> tuple[int, ...]:
     if key == "":
         return ()
@@ -98,19 +94,9 @@ class ChernData(Record):
                 raise ChernDataError(f"{label}: number for {parts} is not an integer")
         for parts in partitions(dimc):
             if parts not in numbers:
-                raise ChernDataError(
-                    f"{label}: missing Chern number for partition {partition_key(parts) or '()'}")
+                key = ",".join(map(str, parts)) or "()"
+                raise ChernDataError(f"{label}: missing Chern number for partition {key}")
         super().__init__(label, dimc, numbers)
-
-    def number(self, parts: tuple[int, ...]) -> int:
-        return self.numbers[parts]
-
-    def to_obj(self) -> dict:
-        return {
-            "label": self.label,
-            "dimc": self.dimc,
-            "numbers": {partition_key(p): v for p, v in sorted(self.numbers.items())},
-        }
 
     @classmethod
     def from_obj(cls, obj) -> "ChernData":
@@ -136,7 +122,7 @@ class ChernData(Record):
 
 def euler_number(M: ChernData) -> int:
     """The top Chern number: integral of c_dimc (1 for a point)."""
-    return M.number((M.dimc,) if M.dimc else ())
+    return M.numbers[(M.dimc,) if M.dimc else ()]
 
 
 def chern_product(M: ChernData, N: ChernData) -> ChernData:
@@ -155,7 +141,7 @@ def chern_product(M: ChernData, N: ChernData) -> ChernData:
             if sum(left) == M.dimc:
                 mu = tuple(sorted((i for i in left if i), reverse=True))
                 nu = tuple(sorted((p - i for p, i in zip(lam, left) if p - i), reverse=True))
-                total += M.number(mu) * N.number(nu)
+                total += M.numbers[mu] * N.numbers[nu]
         out[lam] = total
     return ChernData(f"{M.label}x{N.label}", k, out)
 
@@ -258,7 +244,7 @@ def _monomial_integrals(M: ChernData) -> dict:
     out: dict = {}
     for lam in sorted(partitions(M.dimc)):
         conj = tuple(sum(1 for p in lam if p > i) for i in range(max(lam, default=0)))
-        out[lam] = M.number(conj) - sum(
+        out[lam] = M.numbers[conj] - sum(
             _zero_one_matrices(conj, nu) * v for nu, v in out.items())
     return out
 

@@ -37,7 +37,7 @@ from functools import lru_cache
 
 from genera import modular
 from genera.series import LaurentSeries, _build, _fraction
-from genera.values import Record, json_int, require_keys
+from genera.values import INF, Record, json_int, require_keys
 
 # generator name -> (weight2, index2), from the table above
 GRADINGS = {"a": (-2, 1), "phi01": (0, 2), "phi032": (0, 3), "phi02": (0, 4), "phi04": (0, 8)}
@@ -322,10 +322,10 @@ def dclas_gcd_via_basis(k: int):
     is 2 and 3 raised to the least of those exponents over the basis, the
     exponents (e1, e2, e3, e4) of weight0_monomials(k). Each least exponent
     is a min-cost coin problem over the parts, so the basis is never listed.
-    Returns None (no constraint, the space is 0) when no monomial exists,
-    which happens exactly at k = 1.
+    Returns INF, like d_clas(1), when no monomial exists, which happens
+    exactly at k = 1: the space is 0, so only the Euler number 0 is allowed.
     """
     twos = _least_cost(k, _TWOS)
     if twos is None:
-        return None
+        return INF
     return 2 ** twos * 3 ** _least_cost(k, _THREES)

@@ -1,7 +1,7 @@
 """Small value types shared across the package.
 
-INF, the infinite order/divisor value shared by divis and cells, is a
-singleton, serialized as the string "inf", and never a numeric sentinel. The
+INF, the package's only infinite order or divisor value, is a singleton,
+serialized as the string "inf", and never None or a numeric sentinel. The
 only integer INF divides is 0 (an element of infinite order bounds nothing
 except the zero Euler number).
 

@@ -166,23 +166,20 @@ def test_memoized_associativity_audit_matches_triple_by_triple(tmp_path, monkeyp
     real_audit = cells._audit
     monkeypatch.setattr(cells, "_audit", lambda table: None)
     outcomes = {"rejected": 0, "accepted": 0}
-    try:
-        for n, action in enumerate(variants):
-            table = cells.table_load(_write(tmp_path, {**raw, "action": action}, f"v{n}.json"))
-            want = _first_nonassociative_triple(table)
-            try:
-                real_audit(table)
-            except cells.TableError as exc:
-                if "associativity" not in str(exc):
-                    continue  # an earlier audit rejects the table first
-                assert want is not None and str(exc).startswith(
-                    f"associativity fails on ({', '.join(want)})"), (n, exc)
-                outcomes["rejected"] += 1
-            else:
-                assert want is None, (n, want)
-                outcomes["accepted"] += 1
-    finally:
-        cells._table_from_text.cache_clear()
+    for n, action in enumerate(variants):
+        table = cells.table_load(_write(tmp_path, {**raw, "action": action}, f"v{n}.json"))
+        want = _first_nonassociative_triple(table)
+        try:
+            real_audit(table)
+        except cells.TableError as exc:
+            if "associativity" not in str(exc):
+                continue  # an earlier audit rejects the table first
+            assert want is not None and str(exc).startswith(
+                f"associativity fails on ({', '.join(want)})"), (n, exc)
+            outcomes["rejected"] += 1
+        else:
+            assert want is None, (n, want)
+            outcomes["accepted"] += 1
     assert all(outcomes.values()), outcomes
 
 
@@ -254,34 +251,12 @@ def test_audit_missing_degree(tmp_path):
             cells.table_load(_write(tmp_path, raw))
 
 
-# ---------------------------------------------------------------- table cache
+# ---------------------------------------------------------------- table loads
 
 
 def test_loaded_table_is_read_only(pi_s):
     with pytest.raises(TypeError):
         pi_s.action[("one", "one")] = pi_s.unit("one")
-
-
-def test_repeated_loads_share_one_table(tmp_path):
-    assert cells.table_load("pi_S") is cells.table_load("pi_S")
-    assert cells.table_load(resolve_data("pi_S")) is cells.table_load("pi_S")
-    path = _write(tmp_path, toy_table())
-    assert cells.table_load(path) is cells.table_load(path)
-
-
-def test_dsu_easy_audits_pi_tmf_once(monkeypatch):
-    audited = []
-    real_audit = cells._audit
-
-    def counting_audit(table):
-        audited.append(table.name)
-        real_audit(table)
-
-    monkeypatch.setattr(cells, "_audit", counting_audit)
-    cells._table_from_text.cache_clear()
-    for k in range(1, 25):
-        cells.dsu_easy(k, cells.table_load("pi_tmf"), cells.complex_load("tmf_mod_eta"))
-    assert audited == ["pi_tmf"]
 
 
 def test_rewritten_table_is_reloaded(tmp_path):
@@ -334,6 +309,16 @@ def test_parse_element_spec():
     assert cells.parse_element_spec("eta, 8*nu") == [(1, "eta"), (8, "nu")]
     with pytest.raises(ValueError):
         cells.parse_element_spec("eta,,nu")
+
+
+@pytest.mark.parametrize("mult", [2.5, 2.0, "3", True, None])
+def test_element_multiplier_must_be_an_int(pi_tmf, mult):
+    # int() would read 2.5 * nu as 2 * nu, of order 12, instead of refusing it
+    for call in (pi_tmf.element, lambda spec: cells.element_order(pi_tmf, spec)):
+        with pytest.raises(cells.TableError, match=rf"term \({mult!r}, 'nu'\)"):
+            call([(mult, "nu")])
+        with pytest.raises(cells.TableError, match="integer multiplier"):
+            call([(1, "nu"), (mult, "nu")])
 
 
 def test_unknown_generator(pi_s):

@@ -598,19 +598,22 @@ def test_series_commands_run_without_fractions(tmp_path):
 def test_cells_dsu_easy_reads_each_data_file_once(capsys, monkeypatch):
     from genera import cells
 
-    loads = []
+    loads, audited = [], []
 
-    def counted(load):
-        def wrapper(path):
-            loads.append(path)
-            return load(path)
+    def counted(load, log):
+        def wrapper(arg):
+            log.append(arg)
+            return load(arg)
         return wrapper
 
-    monkeypatch.setattr(cells, "table_load", counted(cells.table_load))
-    monkeypatch.setattr(cells, "complex_load", counted(cells.complex_load))
+    monkeypatch.setattr(cells, "table_load", counted(cells.table_load, loads))
+    monkeypatch.setattr(cells, "complex_load", counted(cells.complex_load, loads))
+    monkeypatch.setattr(cells, "_audit", counted(cells._audit, audited))
     rc, _out, _ = run(capsys, "cells", "dsu-easy", "--kmax", "40")
     assert rc == 0
     assert sorted(loads) == ["pi_tmf", "tmf_mod_eta"]
+    # table_load audits on every call: one audit of pi_tmf per command
+    assert [table.name for table in audited] == ["pi_tmf"]
 
 
 CHECKS_PROBE = """
@@ -661,6 +664,34 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({"codes": codes, "at_import": at_import, "after_commands": after_commands,
                   "after_help": "argparse" in sys.modules}))
 """
+
+
+HELP_PROBE = """
+import contextlib, io, json, sys
+import genera.cli
+codes = []
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in (["--help"], ["bogus"], ["jf", "gen", "nope"]):
+        codes.append(genera.cli.main(argv))
+watched = ("genera.series", "genera.modular", "genera.jacobi")
+print(json.dumps({"codes": codes, "loaded": [m for m in watched if m in sys.modules]}))
+"""
+
+
+def test_help_and_usage_errors_never_import_the_series_layer():
+    # jf gen's choices are written in the table, not read from jacobi
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", HELP_PROBE],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 2, 2], "loaded": []}
+
+
+def test_jf_gen_choices_are_the_gradings_in_order():
+    from genera import cli, jacobi
+
+    arguments = dict(cli._COMMANDS["jf"][1]["gen"][2])
+    assert arguments["name"]["choices"] == tuple(jacobi.GRADINGS)
 
 
 def test_well_formed_commands_never_import_argparse():

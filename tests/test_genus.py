@@ -155,12 +155,6 @@ def test_bad_nvars_rejected(k3):
         genus.elliptic_genus(k3, nvars=0, qmax=2)
 
 
-def test_chern_data_roundtrip(k3):
-    again = genus.ChernData.from_obj(k3.to_obj())
-    assert again.dimc == k3.dimc
-    assert again.numbers == k3.numbers
-
-
 # ---------------------------------------------------------------- properties
 # These hold for every Chern-number vector, whatever the algorithm: the genus
 # is multiplicative, restricts to the Euler number at z = 0, and (at two

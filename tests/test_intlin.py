@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
 from genera import _intlin as il
+from genera.values import INF
 
 
 def matrices(max_dim=4, bound=9):
@@ -120,11 +121,11 @@ def test_order_in_quotient_hand_cases():
     assert il.order_in_quotient(1, [[12]], [1]) == 12
     assert il.order_in_quotient(1, [[12]], [4]) == 3
     assert il.order_in_quotient(1, [[12]], [0]) == 1
-    assert il.order_in_quotient(1, [[0]], [1]) is None  # infinite order
+    assert il.order_in_quotient(1, [[0]], [1]) is INF  # infinite order
     assert il.order_in_quotient(2, [[2, 0], [0, 3]], [1, 1]) == 6
     # no relations: only zero has finite order
     assert il.order_in_quotient(2, [], [0, 0]) == 1
-    assert il.order_in_quotient(2, [], [0, 5]) is None
+    assert il.order_in_quotient(2, [], [0, 5]) is INF
     # e already in the lattice
     assert il.order_in_quotient(2, [[2, 4], [0, 6]], [4, 14]) == 1
 
@@ -151,7 +152,7 @@ def test_order_in_quotient_is_minimal(case):
     n, gens, e = case
     M = il.from_columns(gens, n) if gens else [[0] * 1 for _ in range(n)]
     k = il.order_in_quotient(n, gens, e)
-    if k is None:
+    if k is INF:
         for j in range(1, 13):
             assert il.solve(M, [j * x for x in e]) is None
     else:

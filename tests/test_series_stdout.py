@@ -5,7 +5,9 @@ bundled Chern data, and of a dimc-3 file whose genus is not integral, as long
 JSON series. `jf check` reads three small form files under tests/data: one
 that obeys the law (exit 0), one with a violation (exit 1) and one whose
 support breaks the index parity (exit 2, empty stdout). `selftest` exits 1
-because of criterion 7. tests/data/series_stdout_sha256.json holds the exit
+because of criterion 7. Four table requests pin an infinite order ("inf"
+from `cells order` of the unit of pi_tmf, and the k = 1 rows of `cells
+dsu-easy` and `divis verify-clas`) and one cofiber group. tests/data/series_stdout_sha256.json holds the exit
 code and the sha256 of stdout for each request. To rewrite it after a deliberate change to
 the output, run
 
@@ -37,6 +39,10 @@ CASES = (
     + [["jf", "check", f"tests/data/form_phi01_q1{kind}.json", "--lambda", lam]
        for kind in ("", "_violation", "_parity") for lam in ("1", "-1")]
     + [["selftest"]]
+    + [["cells", "order", "--table", "pi_tmf", "--element", "one"],
+       ["cells", "dsu-easy", "--kmax", "60", "--format", "md"],
+       ["divis", "verify-clas", "--kmax", "30", "--format", "csv"],
+       ["cells", "homotopy", "--complex", "tmf_mod_nu", "--table", "pi_tmf", "--deg", "5"]]
 )
 
 
