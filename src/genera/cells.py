@@ -426,15 +426,9 @@ def _kernel(table: GradedTable, source: int, alpha: Element, target: int) -> AbG
     if n == 0:
         return AbGroup(0, ())
     tgt = table.gens(target)
-    m = len(tgt)
-    if m == 0:
-        lattice = _intlin.identity(n)
-    else:
-        cols = _boundary_columns(table, source, alpha) + _relation_columns(tgt)
-        stacked = _intlin.from_columns(cols, m)
-        kern = _intlin.kernel_basis(stacked)
-        lattice = [v[:n] for v in kern]
-    free, torsion = _intlin.lattice_quotient(n, lattice, _relation_columns(src))
+    cols = _boundary_columns(table, source, alpha) + _relation_columns(tgt)
+    lattice = [v[:n] for v in _intlin.kernel_basis(cols)]
+    free, torsion = _intlin.lattice_quotient(lattice, _relation_columns(src))
     return AbGroup(free, tuple(torsion))
 
 
@@ -500,10 +494,9 @@ def image_order_in_cofiber(element: Element, cplx: CellComplex, table: GradedTab
     alpha = _attaching_class(cplx, table)
     target = element.degree
     source = target + cplx.bottom + 1 - cplx.top
-    n = len(table.gens(target))
-    if not n:
+    if not table.gens(target):
         return 1
-    return _intlin.order_in_quotient(n, _cokernel_columns(table, source, alpha, target),
+    return _intlin.order_in_quotient(_cokernel_columns(table, source, alpha, target),
                                      list(element.vector))
 
 

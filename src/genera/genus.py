@@ -54,12 +54,23 @@ class ChernDataError(ValueError):
 
 
 def parse_partition_key(key: str) -> tuple[int, ...]:
-    if key == "":
-        return ()
-    parts = tuple(int(p) for p in key.split(","))
-    if list(parts) != sorted(parts, reverse=True) or any(p < 1 for p in parts):
-        raise ChernDataError(f"bad partition key {key!r}: need descending positive parts")
+    # only the canonical spelling ("" for a point), so no two keys name one partition
+    parts = tuple(int(p) for p in key.split(",") if p.isdecimal()) if key else ()
+    if (",".join(map(str, parts)) != key or list(parts) != sorted(parts, reverse=True)
+            or any(p < 1 for p in parts)):
+        raise ChernDataError(f"bad partition key {key!r}: need descending positive parts, "
+                             "written like '2,1,1'")
     return parts
+
+
+def _unique_keys(pairs: list) -> dict:
+    # json object hook: a repeated key would otherwise keep only its last value
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ChernDataError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def partitions(n: int, max_part: int | None = None):
@@ -111,13 +122,16 @@ class ChernData(Record):
             dimc = json_int("dimc", obj["dimc"])
         except ValueError as exc:
             raise ChernDataError(str(exc)) from None
-        return cls(str(obj.get("label", "unnamed")), dimc, numbers)
+        label = obj.get("label", "unnamed")
+        if not isinstance(label, str):
+            raise ChernDataError(f"label must be a JSON string, not {label!r}")
+        return cls(label, dimc, numbers)
 
     @classmethod
     def load(cls, path) -> "ChernData":
         """Load a bundled data name or a path, as cells.table_load does."""
         with open(resolve_data(path)) as fh:
-            return cls.from_obj(json.load(fh))
+            return cls.from_obj(json.load(fh, object_pairs_hook=_unique_keys))
 
 
 def euler_number(M: ChernData) -> int:

@@ -227,9 +227,9 @@ def hk_match(k: int) -> HodgeSystem:
 def hk_divisibility(k: int, use_parity: bool = True) -> int:
     """The divisor of the Euler number forced by the integer solution set.
 
-    Turns each parity fact into an equation with its own slack column and
-    reads the achievable Euler values off a particular solution plus the
-    solution lattice.
+    Turns each parity fact into an equation with its own slack unknown and
+    reads the achievable Euler values off the particular solution and the
+    solution lattice of one echelon of the transposed equation rows.
     """
     system = hk_match(k)
     parities = system.parities if use_parity else ()
@@ -239,10 +239,10 @@ def hk_divisibility(k: int, use_parity: bool = True) -> int:
     for i, (row, mod) in enumerate(parities):
         rows.append(list(row[:-1]) + [-mod if t == i else 0 for t in range(m)])
         rhs.append(-row[-1])
-    x0 = _intlin.solve(rows, rhs)
-    if x0 is None:
+    solution = _intlin.solve([list(col) for col in zip(*rows)], rhs)
+    if solution is None:
         raise HodgeError(f"no integer solutions for k = {k}")
-    kernel = _intlin.kernel_basis(rows)
+    x0, kernel = solution
     ei = system.unknowns.index(EULER)
     g = gcd(x0[ei], *(v[ei] for v in kernel))
     if g == 0:

@@ -237,6 +237,20 @@ def test_genus_non_object_chern_data_is_a_usage_error(tmp_path, capsys):
         assert err.startswith("error:")
 
 
+def test_genus_aliased_chern_keys_are_a_usage_error(tmp_path, capsys):
+    # each file would load with c_2 = 7 if a later key silently replaced "2"
+    numbers = '"2": 24, "1,1": 0'
+    for i, (text, named) in enumerate((
+            ('{"dimc": 2, "numbers": {%s, "02": 7}}' % numbers, "'02'"),
+            ('{"dimc": 2, "numbers": {%s, "2": 7}}' % numbers, "repeated key '2'"),
+            ('{"label": 5, "dimc": 2, "numbers": {%s}}' % numbers, "label"))):
+        f = tmp_path / f"alias{i}.json"
+        f.write_text(text)
+        rc, out, err = run(capsys, "genus", "euler", "--chern", str(f))
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and named in err
+
+
 # ---------------------------------------------------------------- divis
 
 

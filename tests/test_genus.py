@@ -1,6 +1,7 @@
 """Characteristic-class genus pipeline against its published anchors."""
 
 import pathlib
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -141,6 +142,14 @@ def test_chern_data_validation():
     for bad in ([1, 2], "k3", {"dimc": 2, "numbers": [24, 0]}):
         with pytest.raises(genus.ChernDataError):
             genus.ChernData.from_obj(bad)
+    # only the canonical spelling of a partition, so no two keys alias one
+    for key in ("02", "+2", " 2", "2 ", "1, 1", "01,1", "2,", ",2", "２"):
+        with pytest.raises(genus.ChernDataError, match=re.escape(f"bad partition key {key!r}")):
+            genus.ChernData.from_obj({"dimc": 2, "numbers": {"2": 24, "1,1": 0, key: 7}})
+    # the label is a JSON string, not coerced to one
+    for bad in (5, None, ["k3"]):
+        with pytest.raises(genus.ChernDataError, match="label"):
+            genus.ChernData.from_obj({"label": bad, "dimc": 2, "numbers": {"2": 24, "1,1": 0}})
 
 
 def test_missing_chern_number_is_an_error():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from genera import hodge, jacobi
+from genera import _intlin, hodge, jacobi
 from genera.hodge import primitive, relation_str
 
 K2 = hodge.UNKNOWNS[2]  # h11, h12, h22, Euler
@@ -218,6 +218,16 @@ def test_divisibility_constants():
     assert hodge.hk_divisibility(2, use_parity=False) == 6
     assert hodge.hk_divisibility(3) == 8
     assert hodge.hk_divisibility(3, use_parity=False) == 4
+
+
+def test_divisibility_reduces_once(monkeypatch):
+    # the particular solution and the solution lattice come from one echelon
+    calls = []
+    echelon = _intlin.column_echelon_with_transform
+    monkeypatch.setattr(_intlin, "column_echelon_with_transform",
+                        lambda cols: calls.append(cols) or echelon(cols))
+    assert hodge.hk_divisibility(3) == 8
+    assert len(calls) == 1
 
 
 def test_hk_match_unsupported():

@@ -1,4 +1,9 @@
-"""Integer linear algebra cross-checked against sympy and by brute force."""
+"""Integer linear algebra cross-checked against sympy and by brute force.
+
+The strategies draw matrices as lists of rows, the way sympy reads them;
+_intlin takes every matrix as its list of columns, so each test passes the
+transpose.
+"""
 
 import math
 
@@ -28,6 +33,15 @@ def matrices(max_dim=4, bound=9):
     )
 
 
+def columns(M):
+    """The columns of a row-major matrix, in _intlin's format."""
+    return [list(col) for col in zip(*M)]
+
+
+def times(M, x):
+    return [sum(a * t for a, t in zip(row, x)) for row in M]
+
+
 def gen_lists(n, max_gens=4, bound=5):
     vec = st.lists(st.integers(min_value=-bound, max_value=bound), min_size=n, max_size=n)
     return st.lists(vec, min_size=0, max_size=max_gens)
@@ -36,7 +50,7 @@ def gen_lists(n, max_gens=4, bound=5):
 @given(st.one_of(matrices(), matrices(max_dim=6, bound=1000)))
 @settings(max_examples=120, deadline=None)
 def test_snf_matches_sympy(M):
-    mine = il.snf_diagonal(M)
+    mine = il.snf_diagonal(columns(M))
     S = smith_normal_form(sympy.Matrix(M))
     theirs = [abs(S[i, i]) for i in range(min(S.shape)) if S[i, i] != 0]
     assert mine == theirs
@@ -44,20 +58,27 @@ def test_snf_matches_sympy(M):
 
 @given(matrices())
 @settings(max_examples=60, deadline=None)
+def test_snf_diagonal_is_transpose_invariant(M):
+    assert il.snf_diagonal(M) == il.snf_diagonal(columns(M))
+
+
+@given(matrices())
+@settings(max_examples=60, deadline=None)
 def test_echelon_transform_is_unimodular(M):
-    H, V, pivots = il.column_echelon_with_transform(M)
+    H, V, pivots = il.column_echelon_with_transform(columns(M))
+    # H and V are lists of columns, so sympy reads their transposes
     assert abs(sympy.Matrix(V).det()) == 1
-    assert sympy.Matrix(M) * sympy.Matrix(V) == sympy.Matrix(H)
+    assert sympy.Matrix(M) * sympy.Matrix(V).T == sympy.Matrix(H).T
     for r, c in pivots:
-        assert H[r][c] > 0
-        for later in range(c + 1, len(H[0])):
-            assert H[r][later] == 0
+        assert H[c][r] > 0
+        for later in range(c + 1, len(H)):
+            assert H[later][r] == 0
 
 
 @given(matrices())
 @settings(max_examples=60, deadline=None)
 def test_kernel_basis_spans_nullspace(M):
-    K = il.kernel_basis(M)
+    K = il.kernel_basis(columns(M))
     A = sympy.Matrix(M)
     for v in K:
         assert A * sympy.Matrix(v) == sympy.zeros(len(M), 1)
@@ -74,15 +95,25 @@ def test_solve_recovers_known_solutions(M, data):
             max_size=len(M[0]),
         )
     )
-    b = il.mat_vec(M, x)
-    got = il.solve(M, b)
+    b = times(M, x)
+    got = il.solve(columns(M), b)
     assert got is not None
-    assert il.mat_vec(M, got) == b
+    x1, kernel = got
+    assert times(M, x1) == b
+    # the kernel from the same echelon solves the homogeneous system
+    A = sympy.Matrix(M)
+    for v in kernel:
+        assert A * sympy.Matrix(v) == sympy.zeros(len(M), 1)
+    assert len(kernel) == len(M[0]) - A.rank()
 
 
 def test_solve_detects_insolvability():
     assert il.solve([[2]], [1]) is None  # no integer solution
-    assert il.solve([[2, 0], [0, 3]], [4, 9]) == [2, 3]
+    assert il.solve([[2, 0], [0, 3]], [4, 9]) == ([2, 3], [])
+
+
+def test_kernel_of_zero_length_generators_is_identity():
+    assert il.kernel_basis([[], [], []]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_quotient_presentation_basics():
@@ -98,6 +129,8 @@ def test_quotient_presentation_basics():
     assert il.quotient_presentation(3, [[0, 0, 0], [0, 0, 0]]) == (3, [])
     assert il.quotient_presentation(1, [[4], [6], [0]]) == (0, [2])
     assert il.quotient_presentation(3, [[4, 6, 10]]) == (2, [2])
+    # Z^0 / <two zero-length generators> is the trivial group
+    assert il.quotient_presentation(0, [[], []]) == (0, [])
 
 
 @given(st.integers(min_value=1, max_value=3).flatmap(
@@ -108,7 +141,7 @@ def test_quotient_presentation_matches_sympy_snf(n_and_gens):
     n, gens = n_and_gens
     free, torsion = il.quotient_presentation(n, gens)
     if gens:
-        S = smith_normal_form(sympy.Matrix(il.from_columns(gens, n)))
+        S = smith_normal_form(sympy.Matrix(gens).T)
         diag = [abs(S[i, i]) for i in range(min(S.shape))]
     else:
         diag = []
@@ -118,16 +151,16 @@ def test_quotient_presentation_matches_sympy_snf(n_and_gens):
 
 
 def test_order_in_quotient_hand_cases():
-    assert il.order_in_quotient(1, [[12]], [1]) == 12
-    assert il.order_in_quotient(1, [[12]], [4]) == 3
-    assert il.order_in_quotient(1, [[12]], [0]) == 1
-    assert il.order_in_quotient(1, [[0]], [1]) is INF  # infinite order
-    assert il.order_in_quotient(2, [[2, 0], [0, 3]], [1, 1]) == 6
+    assert il.order_in_quotient([[12]], [1]) == 12
+    assert il.order_in_quotient([[12]], [4]) == 3
+    assert il.order_in_quotient([[12]], [0]) == 1
+    assert il.order_in_quotient([[0]], [1]) is INF  # infinite order
+    assert il.order_in_quotient([[2, 0], [0, 3]], [1, 1]) == 6
     # no relations: only zero has finite order
-    assert il.order_in_quotient(2, [], [0, 0]) == 1
-    assert il.order_in_quotient(2, [], [0, 5]) is INF
+    assert il.order_in_quotient([], [0, 0]) == 1
+    assert il.order_in_quotient([], [0, 5]) is INF
     # e already in the lattice
-    assert il.order_in_quotient(2, [[2, 4], [0, 6]], [4, 14]) == 1
+    assert il.order_in_quotient([[2, 4], [0, 6]], [4, 14]) == 1
 
 
 @given(
@@ -136,7 +169,7 @@ def test_order_in_quotient_hand_cases():
 )
 def test_order_in_cyclic_group_gcd_law(m, a):
     # order of a in Z/m is m/gcd(a,m)
-    got = il.order_in_quotient(1, [[m]], [a])
+    got = il.order_in_quotient([[m]], [a])
     assert got == m // math.gcd(a, m)
 
 
@@ -150,22 +183,22 @@ def test_order_in_cyclic_group_gcd_law(m, a):
 @settings(max_examples=50, deadline=None)
 def test_order_in_quotient_is_minimal(case):
     n, gens, e = case
-    M = il.from_columns(gens, n) if gens else [[0] * 1 for _ in range(n)]
-    k = il.order_in_quotient(n, gens, e)
+    cols = gens if gens else [[0] * n]
+    k = il.order_in_quotient(gens, e)
     if k is INF:
         for j in range(1, 13):
-            assert il.solve(M, [j * x for x in e]) is None
+            assert il.solve(cols, [j * x for x in e]) is None
     else:
-        assert il.solve(M, [k * x for x in e]) is not None
+        assert il.solve(cols, [k * x for x in e]) is not None
         for j in range(1, k):
-            assert il.solve(M, [j * x for x in e]) is None
+            assert il.solve(cols, [j * x for x in e]) is None
 
 
 def test_lattice_basis_and_quotient():
-    basis = il.lattice_basis(2, [[2, 0], [0, 2]])
+    basis = il.lattice_basis([[2, 0], [0, 2]])
     assert len(basis) == 2
-    assert il.lattice_quotient(2, [[1, 0], [0, 1]], [[2, 0], [0, 2]]) == (0, [2, 2])
+    assert il.lattice_quotient([[1, 0], [0, 1]], [[2, 0], [0, 2]]) == (0, [2, 2])
     # index-6 sublattice of a rank-1 lattice inside Z^2
-    assert il.lattice_quotient(2, [[1, 1]], [[6, 6]]) == (0, [6])
+    assert il.lattice_quotient([[1, 1]], [[6, 6]]) == (0, [6])
     with pytest.raises(ValueError):
-        il.lattice_quotient(2, [[2, 0]], [[1, 0]])  # small not inside big
+        il.lattice_quotient([[2, 0]], [[1, 0]])  # small not inside big

@@ -5,13 +5,19 @@ bundled Chern data, and of a dimc-3 file whose genus is not integral, as long
 JSON series. `jf check` reads three small form files under tests/data: one
 that obeys the law (exit 0), one with a violation (exit 1) and one whose
 support breaks the index parity (exit 2, empty stdout). `selftest` exits 1
-because of criterion 7. Four table requests pin an infinite order ("inf"
-from `cells order` of the unit of pi_tmf, and the k = 1 rows of `cells
-dsu-easy` and `divis verify-clas`) and one cofiber group. tests/data/series_stdout_sha256.json holds the exit
-code and the sha256 of stdout for each request. To rewrite it after a deliberate change to
-the output, run
+because of criterion 7. The table requests pin infinite orders ("inf" from
+`cells order` of the unit of pi_tmf, the k = 1 rows of `cells dsu-easy` and
+`divis verify-clas`, and a cofiber group with a Z summand), an element order
+in pi_S, and cofiber groups that are resolved, unresolved extensions, or
+outside the table's window (exit 2, empty stdout).
+tests/data/series_stdout_sha256.json holds the exit code and the sha256 of
+stdout for each request. To pin newly added cases, run
 
     PYTHONPATH=src python tests/test_series_stdout.py
+
+It only adds the cases missing from the file. If any existing pin differs
+from the current output, it names those cases, writes nothing and exits 1;
+to accept a deliberate output change, delete that entry by hand first.
 """
 
 import contextlib
@@ -20,6 +26,7 @@ import io
 import json
 import os
 import pathlib
+import sys
 
 import pytest
 
@@ -42,7 +49,11 @@ CASES = (
     + [["cells", "order", "--table", "pi_tmf", "--element", "one"],
        ["cells", "dsu-easy", "--kmax", "60", "--format", "md"],
        ["divis", "verify-clas", "--kmax", "30", "--format", "csv"],
-       ["cells", "homotopy", "--complex", "tmf_mod_nu", "--table", "pi_tmf", "--deg", "5"]]
+       ["cells", "homotopy", "--complex", "tmf_mod_nu", "--table", "pi_tmf", "--deg", "5"],
+       ["cells", "order", "--table", "pi_S", "--element", "eta,8*nu"]]
+    + [["cells", "homotopy", "--complex", cplx, "--table", table, "--deg", deg]
+       for cplx, table, deg in (("tmf_mod_nu", "pi_S", "7"), ("tmf_mod_eta", "pi_tmf", "8"),
+                                ("tmf_mod_eta", "pi_S", "5"), ("tmf_mod_nu", "pi_S", "8"))]
 )
 
 
@@ -73,5 +84,11 @@ def test_stdout_is_pinned(argv):
 
 
 if __name__ == "__main__":
-    PINS.write_text(json.dumps({" ".join(argv): capture(argv) for argv in CASES}, indent=1)
-                    + "\n", encoding="utf-8")
+    pins = _pins()
+    current = {" ".join(argv): capture(argv) for argv in CASES}
+    changed = [key for key, pin in pins.items() if key in current and current[key] != pin]
+    if changed:
+        sys.exit("pinned output changed; delete these entries by hand to re-pin them:\n  "
+                 + "\n  ".join(changed))
+    pins.update((key, got) for key, got in current.items() if key not in pins)
+    PINS.write_text(json.dumps(pins, indent=1) + "\n", encoding="utf-8")
