@@ -28,7 +28,7 @@ from types import MappingProxyType
 
 from genera import _intlin
 from genera._data import resolve_data
-from genera.values import INF, Record, json_int, value_str
+from genera.values import INF, Record, json_int, unique_keys, value_str
 
 
 class TableError(ValueError):
@@ -160,7 +160,7 @@ def table_load(path: str) -> GradedTable:
     """
     fpath = resolve_data(path)
     with open(fpath) as fh:
-        raw = json.load(fh)
+        raw = json.load(fh, object_pairs_hook=unique_keys)
     try:
         name = raw["name"]
         window = raw["window"]
@@ -341,7 +341,7 @@ def complex_load(path: str) -> CellComplex:
     """
     fpath = resolve_data(path)
     with open(fpath) as fh:
-        raw = json.load(fh)
+        raw = json.load(fh, object_pairs_hook=unique_keys)
     cells_raw = raw.get("cells") if isinstance(raw, dict) else None
     if not isinstance(cells_raw, list) or not all(isinstance(c, dict) for c in cells_raw):
         raise TableError(f"complex file {fpath} needs a list of cell objects under 'cells'")

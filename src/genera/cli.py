@@ -24,10 +24,10 @@ import json
 import os
 import sys
 from types import SimpleNamespace
-from genera.values import value_str
+from genera.values import unique_keys, value_str
 
 # Largest --qmax that jf gen and genus compute accept. In a fresh process on
-# a 2-CPU host, jf gen phi04 takes about 1.3 s at qmax 100 and 3.6 s at 150;
+# a 2-CPU host, the slowest jf gen, phi02, takes about 0.17 s at qmax 100;
 # genus compute on k3 takes about 0.6 s at qmax 100.
 QMAX_CAP = 100
 
@@ -101,7 +101,7 @@ def _print_rows(rows, fmt: str, stream) -> None:
 
 def _load_json_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=unique_keys)
 
 
 def _cmd_jf_gen(args, out) -> int:

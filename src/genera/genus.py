@@ -43,7 +43,7 @@ from itertools import combinations, product
 from operator import mul
 
 from genera._data import resolve_data
-from genera.values import Record, json_int
+from genera.values import Record, json_int, unique_keys
 
 # the series layer is imported by the functions that build series, so loading
 # Chern data or reading the Euler number does not load it
@@ -61,16 +61,6 @@ def parse_partition_key(key: str) -> tuple[int, ...]:
         raise ChernDataError(f"bad partition key {key!r}: need descending positive parts, "
                              "written like '2,1,1'")
     return parts
-
-
-def _unique_keys(pairs: list) -> dict:
-    # json object hook: a repeated key would otherwise keep only its last value
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ChernDataError(f"repeated key {key!r}")
-        obj[key] = value
-    return obj
 
 
 def partitions(n: int, max_part: int | None = None):
@@ -131,7 +121,11 @@ class ChernData(Record):
     def load(cls, path) -> "ChernData":
         """Load a bundled data name or a path, as cells.table_load does."""
         with open(resolve_data(path)) as fh:
-            return cls.from_obj(json.load(fh, object_pairs_hook=_unique_keys))
+            try:
+                obj = json.load(fh, object_pairs_hook=unique_keys)
+            except ValueError as exc:  # malformed JSON or a repeated key
+                raise ChernDataError(str(exc)) from None
+        return cls.from_obj(obj)
 
 
 def euler_number(M: ChernData) -> int:

@@ -19,15 +19,23 @@ values at z = 0:
 
 a and phi032 are each one finite theta-type sum in y divided by a pure
 q-series sum (`_theta_quotient`); no infinite product is expanded and no
-y-dependent series is inverted. Everything else is polynomial algebra over
-them. phi01 = 12 * wp * a^2 comes from a, its z-Taylor coefficients
-(`z_taylor`) and the quasimodular E2; its q^0 layer is y + 10 + y^{-1}:
+y-dependent series is inverted. The rest are built from the theta sum t,
+the numerator of a = t / eta3_sum, and its z-Taylor coefficients
+t_i = `z_taylor`(t, i), whose products are products of sparse sums:
+
+- phi04 = t(3z)/t(z), one exact division by t taken layer by layer in q
+  (`_theta_divide`); it builds no other generator and multiplies no series.
+- phi01 = 12 * wp * a^2 = (12 S1 + E2 S0) / eta3_sum^2 with S0 = t_0^2 and
+  S1 = t_1^2 - 2 t_0 t_2, E2 the quasimodular Eisenstein series.
+- phi02 = (phi01^2 - E4 a^4)/24, rewritten over S0 and S1 with Ramanujan's
+  E2^2 - E4 = 12 q dE2/dq so that the only division left is an exact one
+  by 2; the constructor asserts that the result is integral.
+
+The only inverses taken are of pure q-series: the eta3 and pentagonal sums.
+The q^0 layer of phi01 is y + 10 + y^{-1}:
 
 >>> generator("phi01", 0).q_layer(0) == {(2,): 1, (0,): 10, (-2,): 1}
 True
-
-phi02 and phi04 are produced by exact divisions (by 24 and 4) that must
-leave integral series; the constructors assert that.
 """
 
 from __future__ import annotations
@@ -108,6 +116,20 @@ def _theta_quotient(num: dict, den: LaurentSeries) -> LaurentSeries:
     return LaurentSeries(1, den.qmax, num) * _lift(den.inverse(), 1)
 
 
+def _theta_numerator(qmax: int, m: int = 1) -> dict:
+    """Numerators of t(mz) up to q^qmax, where t is the theta sum
+
+        t = sum_{n in Z} (-1)^n q^{n(n+1)/2} y^{(2n+1)/2},
+
+    the numerator of a = t / eta3_sum (Jacobi triple product). t(mz) has
+    every doubled y-exponent multiplied by m. The q^{n(n+1)/2} layer holds
+    the two terms of n and -1-n; only O(sqrt(qmax)) layers are nonzero.
+    """
+    N = (math.isqrt(8 * qmax + 1) - 1) // 2  # the largest n >= 0 with n(n+1)/2 <= qmax
+    return {(n * (n + 1) // 2, (m * (2 * n + 1),)): -1 if n % 2 else 1
+            for n in range(-N - 1, N + 1)}
+
+
 @lru_cache(maxsize=None)
 def generator_a(qmax: int) -> LaurentSeries:
     """The odd generator of weight -2 and doubled index 1.
@@ -121,9 +143,49 @@ def generator_a(qmax: int) -> LaurentSeries:
 
     Vanishes at z = 0; a(-z) = -a(z).
     """
-    N = math.isqrt(2 * qmax) + 1
-    num = {(n * (n + 1) // 2, (2 * n + 1,)): -1 if n % 2 else 1 for n in range(-N, N + 1)}
-    return _theta_quotient(num, modular.eta3_sum(qmax)).as_integral()
+    return _theta_quotient(_theta_numerator(qmax), modular.eta3_sum(qmax)).as_integral()
+
+
+def _theta_divide(num: dict, qmax: int) -> LaurentSeries:
+    """num / t up to q^qmax, for one-variable numerators num divisible by t.
+
+    t = _theta_numerator(qmax) has the q^0 layer y^{1/2} - y^{-1/2}, so the
+    quotient Q is found layer by layer in q: with P the q^k layer of num
+    minus t's layers q^j (j >= 1) times Q's layers q^{k-j}, the q^k layer of
+    Q solves P[R] = Q[R-1] - Q[R+1] in doubled exponents. Q[R-1] is then the
+    running sum of P over R, R+2, R+4, ..., taken from the top down, and the
+    division is exact only where each running sum ends at 0. A remainder is
+    a ValueError.
+    """
+    by_layer: dict = {}  # the q^j layers of t for j >= 1, two terms each
+    for (n, (R,)), c in _theta_numerator(qmax).items():
+        if n:
+            by_layer.setdefault(n, []).append((R, c))
+    tail = sorted(by_layer.items())
+    layers = [{} for _ in range(qmax + 1)]  # num's q^k layer until Q's replaces it
+    for (n, (R,)), c in num.items():
+        if n <= qmax:
+            layers[n][R] = c
+    nums = {}
+    for k, P in enumerate(layers):
+        for j, terms in tail:
+            if j > k:
+                break
+            for r, c in layers[k - j].items():
+                for R, d in terms:
+                    P[r + R] = P.get(r + R, 0) - c * d
+        Q = {}
+        if P:
+            acc = [0, 0]  # one running sum per parity of R
+            for R in range(max(P), min(P) - 1, -1):
+                acc[R & 1] += P.get(R, 0)
+                if acc[R & 1]:
+                    Q[R - 1] = acc[R & 1]
+            if any(acc):
+                raise ValueError(f"t does not divide the numerator: remainder at q^{k}")
+        layers[k] = Q
+        nums.update(((k, (R,)), c) for R, c in Q.items())
+    return _build(1, qmax, nums)
 
 
 # chi_12, the character of n mod 12 in the quintuple-product sum
@@ -148,6 +210,16 @@ def _phi032(qmax: int) -> LaurentSeries:
     return _theta_quotient(num, LaurentSeries(0, qmax, den)).as_integral()
 
 
+@lru_cache(maxsize=None)
+def _phi04(qmax: int) -> LaurentSeries:
+    """a(3z)/a(z) = t(3z)/t(z): weight 0, doubled index 8, ev = 3.
+
+    eta^3 cancels, so it is one sparse quotient of theta sums
+    (V. Gritsenko, arXiv:math/9906190).
+    """
+    return _theta_divide(_theta_numerator(qmax, 3), qmax)
+
+
 def z_taylor(series: LaurentSeries, i: int) -> LaurentSeries:
     """The x^i Taylor coefficient of f(z + x) for a one-variable f, y = e^z.
 
@@ -159,6 +231,20 @@ def z_taylor(series: LaurentSeries, i: int) -> LaurentSeries:
 
 
 @lru_cache(maxsize=None)
+def _theta_pieces(qmax: int) -> tuple:
+    """(S0, S1, E2 S0, 1/eta3_sum^2), shared by phi01 and phi02, with
+    S0 = t_0^2 and S1 = t_1^2 - 2 t_0 t_2, where t_i = z_taylor(t, i) for the
+    theta sum t of _theta_numerator: products of sparse sums.
+    """
+    t0 = _build(1, qmax, _theta_numerator(qmax))
+    t1, t2 = z_taylor(t0, 1), z_taylor(t0, 2)
+    s0 = t0 * t0
+    eta3 = modular.eta3_sum(qmax)
+    return (s0, t1 * t1 - 2 * (t0 * t2), s0 * _lift(modular.e2(qmax), 1),
+            (eta3 * eta3).inverse())
+
+
+@lru_cache(maxsize=None)
 def _phi01(qmax: int) -> LaurentSeries:
     """Weight 0, doubled index 2, ev = 12: phi01 = 12 * wp * a^2.
 
@@ -166,26 +252,31 @@ def _phi01(qmax: int) -> LaurentSeries:
     -D^2 log a + E2/12 with D = y d/dy (Eichler and Zagier, The Theory of
     Jacobi Forms, 1985, sec. 9). With a_i = z_taylor(a, i) = D^i a / i!,
 
-        phi01 = 12 (a_1^2 - 2 a a_2) + E2 a^2 = a_1 (12 a_1) + a (E2 a - 24 a_2),
+        phi01 = 12 (a_1^2 - 2 a a_2) + E2 a^2 = (12 S1 + E2 S0) / eta3_sum^2,
 
-    the second grouping taking three series products instead of four.
+    as a_i = t_i / eta3_sum (see _theta_pieces).
     """
-    a = generator_a(qmax)
-    a1, a2 = z_taylor(a, 1), z_taylor(a, 2)
-    return (a1 * (12 * a1) + a * (a * _lift(modular.e2(qmax), 1) - 24 * a2)).as_integral()
+    _, s1, e2s0, inv2 = _theta_pieces(qmax)
+    return ((12 * s1 + e2s0) * _lift(inv2, 1)).as_integral()
 
 
 @lru_cache(maxsize=None)
 def _phi02(qmax: int) -> LaurentSeries:
-    """Weight 0, doubled index 4, ev = 6: (phi01^2 - E4 a^4)/24, exactly."""
-    e4a4 = generator_a(qmax) ** 4 * _lift(modular.e4(qmax), 1)
-    return _divided(_phi01(qmax) ** 2 - e4a4, 24)
+    """Weight 0, doubled index 4, ev = 6: (phi01^2 - E4 a^4) / 24.
 
+    With M = 12 S1 + E2 S0, the numerator of phi01, this is
+    (M^2 - E4 S0^2) / (24 eta3_sum^4). Ramanujan's E2^2 - E4 = 12 q dE2/dq
+    collects the pure q-series, so
 
-@lru_cache(maxsize=None)
-def _phi04(qmax: int) -> LaurentSeries:
-    """Weight 0, doubled index 8, ev = 3: (phi01 phi032^2 - phi02^2)/4, exactly."""
-    return _divided(_phi01(qmax) * _phi032(qmax) ** 2 - _phi02(qmax) ** 2, 4)
+        phi02 = (S1 (12 S1 + 2 E2 S0) + (q dE2/dq) S0^2) / (2 eta3_sum^4)
+
+    and every y-dependent product has an operand built from sparse sums.
+    """
+    s0, s1, e2s0, inv2 = _theta_pieces(qmax)
+    e2 = modular.e2(qmax)
+    de2 = _build(0, qmax, {(n, R): n * c for (n, R), c in e2.nums.items() if n}, e2.den)
+    num = s1 * (12 * s1 + 2 * e2s0) + s0 * (s0 * _lift(de2, 1))
+    return _divided(num * _lift(inv2 * inv2, 1), 2)
 
 
 def generator(name: str, qmax: int) -> LaurentSeries:

@@ -5,8 +5,9 @@ serialized as the string "inf", and never None or a numeric sentinel. The
 only integer INF divides is 0 (an element of infinite order bounds nothing
 except the zero Euler number).
 
-Record is the base of the package's immutable records; json_int and
-require_keys check JSON input at the boundary.
+Record is the base of the package's immutable records; json_int,
+require_keys and the json.load hook unique_keys check JSON input at the
+boundary.
 """
 
 from __future__ import annotations
@@ -45,6 +46,18 @@ def json_int(what: str, value) -> int:
     if type(value) is not int:
         raise ValueError(f"{what} must be a JSON integer, got {value!r}")
     return value
+
+
+def unique_keys(pairs: list) -> dict:
+    """The object_pairs_hook of every JSON file reader: the pairs as a dict,
+    or a ValueError naming a repeated key, which json.load would otherwise
+    resolve to its last value without a word."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def require_keys(obj, *keys) -> None:

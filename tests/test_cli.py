@@ -382,6 +382,28 @@ def test_cells_malformed_table_is_a_usage_error(tmp_path, capsys):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("kind, text, named", [
+    ("complex", '{"cells": [{"deg": 0}, {"deg": 4, "attach": {"gen": "nu", "mult": 1, "mult": 2}}]}',
+     "'mult'"),
+    ("table", '{"name": "t", "window": [0, 0], "window": [0, 1],'
+     ' "groups": {"0": [{"gen": "one", "order": 0}]}, "action": []}', "'window'"),
+    ("jf", '{"weight2": 0, "index2": 2, "nvars": 1, "qmax": 0, "qmax": 1,'
+     ' "terms": [[0, [2], "1"], [0, [0], "10"], [0, [-2], "1"]]}', "'qmax'"),
+], ids=["complex", "table", "jf-check"])
+def test_repeated_json_key_is_a_usage_error(tmp_path, capsys, kind, text, named):
+    # json.load alone keeps the last value: the complex would attach 2*nu and
+    # print a group, and the form would be read at qmax 1 and fail the law
+    f = tmp_path / "dup.json"
+    f.write_text(text)
+    argv = {"complex": ["cells", "homotopy", "--complex", str(f), "--table", "pi_tmf",
+                        "--deg", "4"],
+            "table": ["cells", "order", "--table", str(f), "--element", "one"],
+            "jf": ["jf", "check", str(f), "--lambda", "1"]}[kind]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == f"error: repeated key {named}\n"
+
+
 def test_cells_order(capsys):
     rc, out, _ = run(capsys, "cells", "order", "--table", "pi_S",
                      "--element", "eta,8*nu")

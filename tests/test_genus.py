@@ -152,6 +152,16 @@ def test_chern_data_validation():
             genus.ChernData.from_obj({"label": bad, "dimc": 2, "numbers": {"2": 24, "1,1": 0}})
 
 
+def test_chern_data_load_raises_chern_data_error_on_a_repeated_key(tmp_path):
+    f = tmp_path / "dup.json"
+    f.write_text('{"dimc": 2, "dimc": 2, "numbers": {"2": 24, "1,1": 0}}')
+    with pytest.raises(genus.ChernDataError, match="repeated key 'dimc'"):
+        genus.ChernData.load(str(f))
+    f.write_text('{"dimc": 2,')
+    with pytest.raises(genus.ChernDataError):
+        genus.ChernData.load(str(f))
+
+
 def test_missing_chern_number_is_an_error():
     with pytest.raises(genus.ChernDataError, match="partition 1,1"):
         genus.ChernData.from_obj({"dimc": 2, "numbers": {"2": 24}})  # no c1^2

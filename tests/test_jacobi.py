@@ -234,8 +234,45 @@ def test_theta_multiplication_oracle(name, m):
 
 
 def test_ring_relation():
-    p1, p32, p2, p4 = (jacobi.generator(n, 8) for n in ("phi01", "phi032", "phi02", "phi04"))
-    assert 4 * p4 == p1 * p32 * p32 - p2 * p2
+    # dense product constructions, the oracle for the theta-sum ones: phi01
+    # from a and its Taylor pieces, phi02 from phi01 and a, phi04 from the
+    # quintuple-product phi032
+    for q in [*range(31), 60]:
+        a = jacobi.generator("a", q)
+        a1, a2 = jacobi.z_taylor(a, 1), jacobi.z_taylor(a, 2)
+        e2, e4 = (jacobi._lift(e(q), 1) for e in (jacobi.modular.e2, jacobi.modular.e4))
+        p1, p32, p2, p4 = (jacobi.generator(n, q) for n in ("phi01", "phi032", "phi02", "phi04"))
+        assert p1 == 12 * (a1 * a1 - 2 * a * a2) + e2 * a * a, q
+        assert 24 * p2 == p1 * p1 - e4 * a ** 4, q
+        assert 4 * p4 == p1 * p32 * p32 - p2 * p2, q
+
+
+def test_theta_divide_at_m2_is_the_quintuple_product_sum():
+    # t(2z)/t(z) = phi032, which _phi032 builds from chi_12 and Euler's sum
+    for q in [*range(61), 100]:
+        assert jacobi._theta_divide(jacobi._theta_numerator(q, 2), q) == jacobi._phi032(q), q
+
+
+@pytest.mark.parametrize("key", [(0, (0,)), (0, (7,)), (3, (9,)), (6, (-1,)), (10, (4,))])
+def test_theta_divide_refuses_a_remainder(key):
+    num = jacobi._theta_numerator(10, 3)
+    num[key] = num.get(key, 0) + 1
+    with pytest.raises(ValueError, match=rf"remainder at q\^{key[0]}"):
+        jacobi._theta_divide(num, 10)
+
+
+def test_phi04_builds_nothing_else_and_multiplies_no_series(monkeypatch):
+    calls = []
+    mul = LaurentSeries.__mul__
+    monkeypatch.setattr(LaurentSeries, "__mul__",
+                        lambda self, other: calls.append(other) or mul(self, other))
+    others = (jacobi.generator_a, jacobi._phi01, jacobi._phi032, jacobi._phi02,
+              jacobi._theta_pieces)
+    for f in (*others, jacobi._phi04):
+        f.cache_clear()
+    assert jacobi.generator("phi04", 60).qmax == 60
+    assert calls == []
+    assert [f.cache_info().currsize for f in others] == [0] * len(others)
 
 
 def test_product_grading_and_identity():

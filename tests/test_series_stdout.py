@@ -1,6 +1,7 @@
 """The stdout of the series commands, pinned by sha256.
 
-`jf gen` prints every generator and `genus compute` prints the genus of the
+`jf gen` prints every generator (at qmax 0, 3, 8, 20 and 40, and phi02 and
+phi04 also at 13, 16 and 19) and `genus compute` prints the genus of the
 bundled Chern data, and of a dimc-3 file whose genus is not integral, as long
 JSON series. `jf check` reads three small form files under tests/data: one
 that obeys the law (exit 0), one with a violation (exit 1) and one whose
@@ -39,6 +40,8 @@ PINS = ROOT / "tests" / "data" / "series_stdout_sha256.json"
 # paths are relative to the repository root, where every request runs
 CASES = (
     [["jf", "gen", name, "--qmax", str(q)] for name in GRADINGS for q in (0, 3, 8, 20)]
+    + [["jf", "gen", name, "--qmax", str(q)] for name in ("phi02", "phi04") for q in (13, 16, 19)]
+    + [["jf", "gen", name, "--qmax", "40"] for name in GRADINGS]
     + [["genus", "compute", "--chern", chern, "--nvars", str(n), "--qmax", "4"]
        for chern in ("k3", "quintic") for n in (1, 2, 3)]
     + [["genus", "compute", "--chern", "tests/data/chern_dimc3_nonintegral.json",
