@@ -10,7 +10,10 @@ because of criterion 7. The table requests pin infinite orders ("inf" from
 `cells order` of the unit of pi_tmf, the k = 1 rows of `cells dsu-easy` and
 `divis verify-clas`, and a cofiber group with a Z summand), an element order
 in pi_S, and cofiber groups that are resolved, unresolved extensions, or
-outside the table's window (exit 2, empty stdout).
+outside the table's window (exit 2, empty stdout). The default-json forms of
+the table commands, `divis verdict` for each structure (exit 0 and 1) and the
+large outputs of `jf gen phi04 --qmax 100` and `genus compute` at nvars 3 pin
+what the JSON writer prints.
 tests/data/series_stdout_sha256.json holds the exit code and the sha256 of
 stdout for each request. To pin newly added cases, run
 
@@ -57,6 +60,14 @@ CASES = (
     + [["cells", "homotopy", "--complex", cplx, "--table", table, "--deg", deg]
        for cplx, table, deg in (("tmf_mod_nu", "pi_S", "7"), ("tmf_mod_eta", "pi_tmf", "8"),
                                 ("tmf_mod_eta", "pi_S", "5"), ("tmf_mod_nu", "pi_S", "8"))]
+    + [["divis", "table", "--kmax", "16"],
+       ["divis", "verify-clas", "--kmax", "12"],
+       ["cells", "dsu-easy", "--kmax", "12"]]
+    + [["divis", "verdict", "--structure", structure, "--k", k, "--euler", euler]
+       for structure, k, euler in (("SU", "1", "0"), ("SU", "3", "7"), ("Sp", "2", "324"),
+                                   ("Sp", "3", "25"), ("SO", "4", "6"), ("SO", "6", "3"))]
+    + [["jf", "gen", "phi04", "--qmax", "100"],
+       ["genus", "compute", "--chern", "k3", "--nvars", "3", "--qmax", "6"]]
 )
 
 
