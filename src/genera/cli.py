@@ -3,7 +3,8 @@
 One binary, subcommand style.  Every command writes deterministic output for
 fixed inputs: JSON with sorted keys, or csv/md tables with a fixed column
 order.  Numeric leaves are emitted as decimal strings so arbitrarily large
-integers and exact rationals survive any downstream parser.
+integers and exact rationals survive any downstream parser.  All JSON output
+is the text of values.json_text, written by _emit_json in one write.
 
 Exit codes: 0 on success, 1 when a verification-style command finds a
 failure, 2 on usage or file errors.
@@ -11,24 +12,25 @@ failure, 2 on usage or file errors.
 Every command runs in a fresh process, and on most requests the import is
 dearer than the arithmetic, so each command pays only for itself: this
 module loads no layer of the library (only values), and every handler
-imports its own layer. The grammar is one table, _COMMANDS. main parses a
-well-formed argv straight from it and imports no argparse; build_parser
-makes the argparse parser from the same table only for what the table parse
-leaves to it: help, usage errors, and the spellings argparse also accepts,
-such as an abbreviated flag or --flag=value.
+imports its own layer. Nor does it load json: only the commands that parse
+JSON files (jf check, genus, cells and selftest) import it. The grammar is
+one table, _COMMANDS. main parses a well-formed argv straight from it and
+imports no argparse; build_parser makes the argparse parser from the same
+table only for what the table parse leaves to it: help, usage errors, and
+the spellings argparse also accepts, such as an abbreviated flag or
+--flag=value.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from types import SimpleNamespace
-from genera.values import unique_keys, value_str
+from genera.values import json_text, unique_keys, value_str
 
 # Largest --qmax that jf gen and genus compute accept. In a fresh process on
-# a 2-CPU host, the slowest jf gen, phi02, takes about 0.17 s at qmax 100;
-# genus compute on k3 takes about 0.6 s at qmax 100.
+# a 2-CPU host, output included, the slowest jf gen, phi02, takes about
+# 0.15 s at qmax 100; genus compute on k3 takes about 0.17 s at qmax 100.
 QMAX_CAP = 100
 
 # Largest --nvars that genus compute accepts. The dense products grow with
@@ -74,8 +76,7 @@ def _nvars(text: str) -> int:
 
 
 def _emit_json(obj, stream) -> None:
-    json.dump(obj, stream, indent=2, sort_keys=True)
-    stream.write("\n")
+    stream.write(json_text(obj) + "\n")
 
 
 def _print_rows(rows, fmt: str, stream) -> None:
@@ -100,6 +101,8 @@ def _print_rows(rows, fmt: str, stream) -> None:
 
 
 def _load_json_file(path: str):
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh, object_pairs_hook=unique_keys)
 

@@ -7,7 +7,7 @@ except the zero Euler number).
 
 Record is the base of the package's immutable records; json_int,
 require_keys and the json.load hook unique_keys check JSON input at the
-boundary.
+boundary, and json_text writes every JSON output.
 """
 
 from __future__ import annotations
@@ -58,6 +58,51 @@ def unique_keys(pairs: list) -> dict:
             raise ValueError(f"repeated key {key!r}")
         obj[key] = value
     return obj
+
+
+def json_text(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), for dicts with str keys,
+    lists, str, int, bool and None; any other type, or a key that is not a
+    str, raises TypeError.
+
+    Each container is one join of its items' texts. json is imported only to
+    escape a string that is not printable ASCII free of '"' and '\\'.
+    """
+    return _json_text(obj, "\n")
+
+
+def _json_text(obj, newline: str) -> str:
+    kind = type(obj)
+    if kind is str:
+        if obj.isascii() and obj.isprintable() and '"' not in obj and "\\" not in obj:
+            return f'"{obj}"'
+        from json import dumps
+
+        return dumps(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if obj is None:
+        return "null"
+    inner = newline + "  "
+    if kind is list:
+        if not obj:
+            return "[]"
+        body = ("," + inner).join([_json_text(v, inner) for v in obj])
+        return f"[{inner}{body}{newline}]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        for key in obj:
+            if type(key) is not str:
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+        body = ("," + inner).join([f"{_json_text(k, inner)}: {_json_text(v, inner)}"
+                                   for k, v in sorted(obj.items())])
+        return f"{{{inner}{body}{newline}}}"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def require_keys(obj, *keys) -> None:

@@ -3,11 +3,13 @@
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
 import pytest
 
+from genera._data import resolve_data
 from genera.cli import NVARS_CAP, QMAX_CAP, main
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -411,6 +413,16 @@ def test_cells_order(capsys):
     assert json.loads(out) == {"element": "eta,8*nu", "order": "6", "table": "pi_S"}
 
 
+def test_cells_order_escapes_a_table_name_as_json_does(tmp_path, capsys):
+    name = 'pi_é"S'
+    shutil.copy(resolve_data("pi_S"), tmp_path / f"{name}.json")
+    rc, out, _ = run(capsys, "--data-dir", str(tmp_path), "cells", "order", "--table", name,
+                     "--element", "eta,8*nu")
+    expected = {"element": "eta,8*nu", "order": "6", "table": name}
+    assert rc == 0
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_cells_dsu_easy_md(capsys):
     rc, out, _ = run(capsys, "cells", "dsu-easy", "--kmax", "4", "--format", "md")
     assert rc == 0
@@ -550,10 +562,10 @@ def test_unknown_data_name(capsys):
 
 
 STARTUP_PROBE = """
-import contextlib, io, json, os, sys
+import contextlib, io, os, sys
 import genera.cli
-heavy = ("dataclasses", "csv", "fractions", "decimal", "genera.series", "genera.modular",
-         "genera.jacobi", "genera.cells", "genera.divis", "genera.hodge",
+heavy = ("json", "dataclasses", "csv", "fractions", "decimal", "genera.series",
+         "genera.modular", "genera.jacobi", "genera.cells", "genera.divis", "genera.hodge",
          "genera.acceptance", "genera.genus")
 at_import = [m for m in heavy if m in sys.modules]
 form = os.path.join(sys.argv[1], "phi01.json")
@@ -563,6 +575,7 @@ with open(form, "w") as fh, contextlib.redirect_stdout(fh):
 with contextlib.redirect_stdout(io.StringIO()):
     codes.append(genera.cli.main(["jf", "check", form]))
     codes.append(genera.cli.main(["genus", "compute", "--chern", "k3", "--qmax", "4"]))
+import json
 print(json.dumps({"at_import": at_import, "codes": codes,
                   "dataclasses_after": "dataclasses" in sys.modules}))
 """
@@ -575,6 +588,55 @@ def test_series_commands_import_only_what_they_run(tmp_path):
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got == {"at_import": [], "codes": [0, 0, 0], "dataclasses_after": False}
+
+
+# json in sys.modules after import genera.cli and after each command, recorded
+# before the probe imports json for its own output
+JSON_PROBE = """
+import contextlib, io, sys
+import genera.cli
+loaded, codes = ["json" in sys.modules], []
+with contextlib.redirect_stdout(io.StringIO()):
+    for command in sys.argv[1].split(" ; "):
+        codes.append(genera.cli.main(command.split()))
+        loaded.append("json" in sys.modules)
+import json
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def _json_probe(*commands) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", JSON_PROBE, " ; ".join(commands)],
+                          capture_output=True, text=True, env=env, timeout=120,
+                          cwd=SRC.parent)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_commands_that_only_write_json_never_import_it():
+    got = _json_probe("jf gen phi04 --qmax 8", "divis table --kmax 8",
+                      "divis table --kmax 8 --format csv", "divis verify-clas --kmax 12",
+                      "divis verdict --structure SU --k 2 --euler 24",
+                      "divis verdict --structure Sp --k 3 --euler 25",
+                      "divis verdict --structure SO --k 6 --euler 3",
+                      "hk solve --k 2", "hk solve --k 3")
+    assert got == {"codes": [0, 0, 0, 0, 0, 1, 1, 0, 0], "loaded": [False] * 10}
+
+
+@pytest.mark.parametrize("command", [
+    "jf check tests/data/form_phi01_q1.json",
+    "genus compute --chern k3 --qmax 4",
+    "genus euler --chern quintic",
+    "cells order --table pi_tmf --element eta",
+    "cells homotopy --complex tmf_mod_nu --table pi_tmf --deg 5",
+    "cells dsu-easy --kmax 12",
+    "selftest",
+])
+def test_commands_that_parse_json_import_it(command):
+    # each in a fresh process; selftest exits 1 for criterion 7
+    assert _json_probe(command) == {"codes": [int(command == "selftest")],
+                                    "loaded": [False, True]}
 
 
 FRACTIONS_PROBE = """
