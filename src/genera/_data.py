@@ -16,14 +16,14 @@ def resolve_data(name: str | os.PathLike) -> str:
     """
     name = os.fspath(name)
     if os.path.sep in name or name.endswith(".json"):
-        if not os.path.exists(name):
+        if not os.path.isfile(name):
             raise FileNotFoundError(f"no such data file: {name}")
         return name
     fname = name + ".json"
     override = os.environ.get("GENERA_DATA_DIR")
     if override:
         cand = os.path.join(override, fname)
-        if os.path.exists(cand):
+        if os.path.isfile(cand):
             return cand
     cand = os.path.join(_PACKAGE_DATA, fname)
     if os.path.isfile(cand):

@@ -23,21 +23,23 @@ the spellings argparse also accepts, such as an abbreviated flag or
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from types import SimpleNamespace
 from genera.values import json_text, unique_keys, value_str
 
 # Largest --qmax that jf gen and genus compute accept. In a fresh process on
-# a 2-CPU host, output included, the slowest jf gen, phi02, takes about
-# 0.15 s at qmax 100; genus compute on k3 takes about 0.17 s at qmax 100.
+# a shared 2-CPU host, output included (medians of 7, over rounds as the
+# host's speed drifted), the slowest jf gen, phi02, takes 0.22 to 0.29 s at
+# qmax 100; genus compute on k3 takes 0.2 to 0.35 s at qmax 100.
 QMAX_CAP = 100
 
 # Largest --nvars that genus compute accepts. The dense products grow with
 # the product of the exponent ranges, one range per variable: on the same
-# host genus compute on k3 takes about 4.7 s at nvars 2 and qmax 40, 2.7 s
-# at nvars 3 and qmax 10, 37 s at nvars 3 and qmax 20, and 16 s at nvars 4
-# and qmax 6.
+# host genus compute on k3 takes about 3 s at nvars 2 and qmax 40, 1.8 s at
+# nvars 3 and qmax 10 and 23 s at nvars 3 and qmax 20, and the library's
+# elliptic_genus takes 14 s at nvars 4 and qmax 6.
 NVARS_CAP = 3
 
 
@@ -401,6 +403,13 @@ def parse_table(argv):
 
 def main(argv=None) -> int:
     if argv is None:
+        # Run as the program, so the process ends with this request. Exit runs
+        # full collections over every tracked object; the start-up heap (about
+        # 11,700 objects, nearly all the interpreter's own) holds no garbage,
+        # and frozen it is scanned neither there nor by the request's own
+        # older-generation collections. Callers that pass argv keep their
+        # collector as it is.
+        gc.freeze()
         argv = sys.argv[1:]
     args = parse_table(argv)
     if args is None:

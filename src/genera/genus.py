@@ -266,6 +266,10 @@ def elliptic_genus(M: ChernData, nvars: int = 1, qmax: int = 10) -> LaurentSerie
     (rationally, SU data). Otherwise it is no Jacobi form: for dimc 1 and
     c1 = 1 it is (y^{1/2} + y^{-1/2})/2, which breaks the law.
     """
+    if nvars < 1:
+        raise ValueError(f"nvars must be >= 1, not {nvars}")
+    if qmax < 0:
+        raise ValueError(f"qmax must be >= 0, not {qmax}")
     from genera.series import LaurentSeries
 
     integrals = _monomial_integrals(M)

@@ -285,6 +285,8 @@ def generator(name: str, qmax: int) -> LaurentSeries:
                 "phi02": _phi02, "phi04": _phi04}
     if name not in builders:
         raise ValueError(f"unknown generator {name!r}; choose from {tuple(GRADINGS)}")
+    if qmax < 0:  # here, so that no cached builder sees it
+        raise ValueError(f"qmax must be >= 0, not {qmax}")
     return builders[name](qmax)
 
 

@@ -549,6 +549,23 @@ def test_data_dir_env(tmp_path, capsys, monkeypatch):
     assert rc == 0 and out == "42\n"
 
 
+def test_a_directory_under_data_dir_does_not_shadow_a_bundled_name(tmp_path, capsys,
+                                                                   monkeypatch):
+    (tmp_path / "k3.json").mkdir()
+    rc, out, err = run(capsys, "--data-dir", str(tmp_path), "genus", "euler", "--chern", "k3")
+    assert (rc, out, err) == (0, "24\n", "")
+    bundled = resolve_data("k3")
+    monkeypatch.setenv("GENERA_DATA_DIR", str(tmp_path))
+    assert resolve_data("k3") == bundled
+
+
+def test_a_directory_as_a_literal_data_path_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "k3.json").mkdir()
+    rc, out, err = run(capsys, "genus", "euler", "--chern", str(tmp_path / "k3.json"))
+    assert (rc, out) == (2, "")
+    assert err == f"error: no such data file: {tmp_path / 'k3.json'}\n"
+
+
 def test_bundled_name_still_wins_without_override(capsys):
     rc, out, _ = run(capsys, "genus", "euler", "--chern", "k3")
     assert rc == 0 and out == "24\n"
@@ -745,6 +762,33 @@ def test_check_commands_never_import_dataclasses():
     assert json.loads(proc.stdout) == {
         "codes": [0] * 7, "dataclasses_after": False, "series_after_exact": [],
         "series_after_verify_clas": ["genera.series", "genera.modular", "genera.jacobi"]}
+
+
+# the freeze count after main with an argv list, then after main run as the
+# program, with its arguments in sys.argv
+FREEZE_PROBE = """
+import contextlib, gc, io, json, sys
+import genera.cli
+argv = ["divis", "verdict", "--structure", "SU", "--k", "2", "--euler", "24"]
+codes, frozen = [], []
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(genera.cli.main(list(argv)))
+    frozen.append(gc.get_freeze_count())
+    sys.argv = ["genera", *argv]
+    codes.append(genera.cli.main())
+    frozen.append(gc.get_freeze_count())
+print(json.dumps({"codes": codes, "frozen": frozen}))
+"""
+
+
+def test_only_the_program_freezes_the_start_up_heap():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", FREEZE_PROBE],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [0, 0]
+    assert got["frozen"][0] == 0 and got["frozen"][1] > 0, got
 
 
 ARGPARSE_PROBE = """

@@ -170,8 +170,13 @@ def test_missing_chern_number_is_an_error():
 
 
 def test_bad_nvars_rejected(k3):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nvars must be >= 1"):
         genus.elliptic_genus(k3, nvars=0, qmax=2)
+
+
+def test_negative_qmax_rejected(k3):
+    with pytest.raises(ValueError, match="qmax must be >= 0"):
+        genus.elliptic_genus(k3, nvars=1, qmax=-1)
 
 
 # ---------------------------------------------------------------- properties

@@ -80,6 +80,16 @@ def test_generator_rejects_unknown_name():
         jacobi.generator("phi05", 2)
 
 
+@pytest.mark.parametrize("name", jacobi.GRADINGS)
+def test_generator_rejects_negative_qmax_before_its_cached_builder(name):
+    builders = (jacobi.generator_a, jacobi._phi01, jacobi._phi032, jacobi._phi02,
+                jacobi._phi04, jacobi._theta_pieces)
+    before = [b.cache_info() for b in builders]
+    with pytest.raises(ValueError, match="qmax must be >= 0"):
+        jacobi.generator(name, -1)
+    assert [b.cache_info() for b in builders] == before
+
+
 def test_ev_constants():
     for name, want in jacobi.EV_CONSTANTS.items():
         ev = jacobi.generator(name, 6).collapse_y()

@@ -13,7 +13,8 @@ in pi_S, and cofiber groups that are resolved, unresolved extensions, or
 outside the table's window (exit 2, empty stdout). The default-json forms of
 the table commands, `divis verdict` for each structure (exit 0 and 1) and the
 large outputs of `jf gen phi04 --qmax 100` and `genus compute` at nvars 3 pin
-what the JSON writer prints.
+what the JSON writer prints. A few of the pinned requests also run as the
+program, `python -m genera.cli`, in a fresh process.
 tests/data/series_stdout_sha256.json holds the exit code and the sha256 of
 stdout for each request. To pin newly added cases, run
 
@@ -30,6 +31,7 @@ import io
 import json
 import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -70,6 +72,18 @@ CASES = (
        ["genus", "compute", "--chern", "k3", "--nvars", "3", "--qmax", "6"]]
 )
 
+# pinned requests that also run as `python -m genera.cli`, the path on which
+# main freezes the start-up heap: a large output that must arrive whole, exit
+# codes 1 and 2 (a WindowError, with empty stdout) and one of each group
+PROGRAM_CASES = [
+    ["jf", "gen", "phi04", "--qmax", "100"],
+    ["selftest"],
+    ["cells", "homotopy", "--complex", "tmf_mod_nu", "--table", "pi_S", "--deg", "8"],
+    ["jf", "check", "tests/data/form_phi01_q1_violation.json", "--lambda", "1"],
+    ["genus", "compute", "--chern", "quintic", "--nvars", "2", "--qmax", "4"],
+    ["divis", "verdict", "--structure", "Sp", "--k", "3", "--euler", "25"],
+]
+
 
 def capture(argv) -> dict:
     """Exit code and sha256 of stdout of cli.main(argv), run in the repository root."""
@@ -95,6 +109,21 @@ def test_pin_file_covers_every_case():
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
 def test_stdout_is_pinned(argv):
     assert capture(argv) == _pins()[" ".join(argv)]
+
+
+@pytest.mark.parametrize("argv", PROGRAM_CASES, ids=" ".join)
+def test_program_stdout_is_pinned(argv):
+    # with stdout block-buffered, as by default, so that it is whole only if flushed at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run([sys.executable, "-m", "genera.cli", *argv], capture_output=True,
+                          cwd=ROOT, env=env, timeout=120)
+    got = {"rc": proc.returncode, "sha256": hashlib.sha256(proc.stdout).hexdigest()}
+    assert got == _pins()[" ".join(argv)]
+    if got["rc"] == 2:
+        assert proc.stderr.startswith(b"error: ") and proc.stderr.endswith(b"\n")
+    else:
+        assert proc.stderr == b""
 
 
 if __name__ == "__main__":
